@@ -2,33 +2,50 @@ package grappolo
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"grappolo/internal/core"
 	"grappolo/internal/dynamic"
+	"grappolo/internal/faults"
+	"grappolo/internal/graph"
 	"grappolo/internal/rescache"
 )
 
-// Cache serves repeated detections across TIME the way the Batcher serves
-// them across concurrent callers: a TTL + LRU result cache keyed by the
-// graph's content identity and the backend's exact engine options, composed
-// as a Detecter in front of a Pool, Batcher or Sharded backend (and behind
-// a Guard). Back-to-back identical uploads — dashboard refreshes, retries,
-// many tenants asking about the same public dataset — are served from the
-// cache with ZERO engine runs; a warm hit into a recycled Result performs
-// zero allocations, the same gate discipline as the rest of the serving
-// stack.
+// Cache serves repeated detections of the same graph once: concurrent
+// identical misses share ONE backend run (coalescing in flight), and a TTL
+// + LRU result store serves later repeats with no run at all (caching
+// across time). It is keyed by the graph's content identity and the
+// backend's exact engine options, and composes as a Detecter in front of a
+// Pool or Sharded backend (and behind a Guard). Duplicate traffic —
+// dashboard refreshes, retries, many tenants asking about the same public
+// dataset — is the common overload shape for a clustering service; a warm
+// hit into a recycled Result performs zero allocations, the same gate
+// discipline as the rest of the serving stack.
+//
+// Coalescing: a miss either joins a concurrent miss for the same content
+// as a FOLLOWER or LEADS it. The leader resolves the miss (delta tier or
+// backend run), publishes the result to the store, then copies it out to
+// every follower before it returns, so each caller receives an independent
+// Result with exactly the ownership semantics of a private call. Leaders
+// inherit the backend's FIFO-fair admission, so runs start in leader
+// arrival order under overload; followers consume no engine. A follower
+// canceled while waiting returns its own ctx.Err() at once. A leader
+// canceled mid-flight aborts only its own call: its followers retry, and
+// the first to retry leads a fresh run. A leader that panics releases its
+// followers with an error matching ErrEngineFault, and the panic continues
+// through the leader.
 //
 // Correctness: lookups are keyed by the cheap sampled graph.Fingerprint,
-// but no result is ever served (or displaced) on that evidence alone —
-// every match is confirmed against the graph's exact full-content
-// StrongHash, computed once per immutable Graph and memoized on it. A
-// sampled-hash collision therefore degrades to an uncached detection
-// (counted in CacheStats.Rejected), never to serving another graph's
-// membership. Cached Results are deep-copied out on every hit, so callers
-// receive the same ownership semantics as an unbatched call, bit-identical
-// to the run that populated the entry.
+// but no result is ever shared, served or displaced on that evidence alone
+// — every match is confirmed against the graph's exact full-content
+// StrongHash, computed once per immutable Graph and memoized on it. Two
+// requests share a run only when both hashes agree, so a sampled-hash
+// collision leads its own run, and a stored entry is never served to a
+// colliding graph (counted in CacheStats.Rejected).
 //
 // Delta tier (DeltaEdits): a miss whose fingerprint shape (vertex count,
 // arc count, total weight) is within the configured edit budget of a cached
@@ -45,34 +62,72 @@ import (
 //
 // Memory: the cache retains each admitted graph and result (and any
 // maintainer) and evicts least-recently-used entries once the estimated
-// resident bytes exceed CacheBytes. A Cache is safe for concurrent use.
+// resident bytes exceed CacheBytes. A budget below any entry's size
+// retains nothing: the Cache then only coalesces, and a warm miss into a
+// recycled Result allocates nothing. A Cache is safe for concurrent use.
 type Cache struct {
 	backend Detecter
 	pool    *Pool
 	store   *rescache.Store
 	opts    core.Options
+
+	mu       sync.Mutex
+	inflight map[runKey]*run
+	free     *run // recycled run records
+
+	joins     atomic.Int64 // followers attached (test observability)
+	coalesced atomic.Int64 // followers served by another request's run
 }
 
-// CacheStats are cumulative serving counters plus a residency snapshot.
-type CacheStats struct {
-	// Hits counts requests served straight from the cache (zero engine
-	// runs, bit-identical result); Misses counts the rest.
-	Hits, Misses int64
-	// DeltaRouted counts misses served by the incremental delta tier
-	// instead of a cold run.
-	DeltaRouted int64
-	// Evictions counts entries dropped by the byte budget; Expired counts
-	// TTL drops.
-	Evictions, Expired int64
-	// Rejected counts sampled-fingerprint matches refused by the exact
-	// strong-hash check — the cross-time collisions that are served
-	// uncached instead of wrong.
-	Rejected int64
-	// Entries and Bytes snapshot current residency (Bytes is the eviction
-	// estimate, not an allocator audit).
-	Entries int
-	Bytes   int64
+// CacheStats are a Cache's cumulative counters plus a residency snapshot;
+// see the fields of the aliased type. Hits + Misses counts every request,
+// and Coalesced counts the misses served by another request's run.
+type CacheStats = rescache.Stats
+
+// runKey identifies an in-flight miss by the graph's exact content.
+type runKey struct {
+	fp     graph.Fingerprint
+	strong uint64
 }
+
+// run is one in-flight miss. Its mutex guards the follower list and the
+// sealed flag; the Cache mutex guards only the in-flight table and the free
+// list, and the two are nested only table-side (c.mu → r.mu) when a
+// recycled record is armed.
+type run struct {
+	mu        sync.Mutex
+	key       runKey
+	sealed    bool // no more joiners; set when the outcome is fanned out (and while free-listed)
+	followers []*follower
+	next      *run // Cache free list
+}
+
+// follower is one coalesced waiter. Delivery is arbitrated by the state
+// word: the sealer claims a follower before copying into its res, a
+// canceling waiter withdraws by claiming it first. Exactly one of out/err
+// is set before ready is signaled, and ready is signaled for every CLAIMED
+// follower — a canceler that loses the claim race waits for that signal
+// (one copy, not the whole fan-out) so its res is never written after it
+// returns.
+type follower struct {
+	state atomic.Int32  // followerWaiting → followerClaimed | followerCanceled
+	ready chan struct{} // cap 1, signaled once iff claimed
+	res   *Result       // caller-provided recycling target (may be nil)
+	out   *Result
+	err   error
+}
+
+const (
+	followerWaiting int32 = iota
+	followerClaimed
+	followerCanceled
+)
+
+// errLeaderPanicked is fanned out to followers when their leader panics;
+// the panic itself propagates through the leader, the call whose goroutine
+// drove the backend. It matches ErrEngineFault, so followers and the Guard
+// classify a leader's fault uniformly.
+var errLeaderPanicked error = &EngineFaultError{Panic: "coalesced run panicked in its leader"}
 
 // cacheConfig accumulates CacheOption applications.
 type cacheConfig struct {
@@ -99,7 +154,8 @@ func CacheTTL(d time.Duration) CacheOption {
 
 // CacheBytes bounds the cache's estimated resident bytes (graphs + results
 // + maintainers); least-recently-used entries are evicted past it. The
-// default is 256 MiB. n must be positive.
+// default is 256 MiB. n must be positive. A budget below any entry's size
+// retains nothing, leaving only the in-flight coalescing.
 func CacheBytes(n int64) CacheOption {
 	return func(c *cacheConfig) error {
 		if n <= 0 {
@@ -138,21 +194,15 @@ func DeltaRefreshFraction(f float64) CacheOption {
 	}
 }
 
-// NewCache wraps backend — a *Pool, *Batcher or *Sharded — in a result
-// cache. All traffic for the backend should route through the Cache (a
-// detection that bypasses it is simply never cached). Configuration errors
-// are returned, never coerced.
+// NewCache wraps backend — a *Pool or *Sharded, or any other tier that
+// serves from an engine pool — in a result cache. All
+// traffic for the backend should route through the Cache (a detection that
+// bypasses it is neither coalesced nor cached). Configuration errors are
+// returned, never coerced.
 func NewCache(backend Detecter, copts ...CacheOption) (*Cache, error) {
-	var pool *Pool
-	switch b := backend.(type) {
-	case *Pool:
-		pool = b
-	case *Batcher:
-		pool = b.Pool()
-	case *Sharded:
-		pool = b.Pool()
-	default:
-		return nil, fmt.Errorf("grappolo: NewCache needs a *Pool, *Batcher or *Sharded backend, got %T", backend)
+	pool, err := poolOf(backend)
+	if err != nil {
+		return nil, fmt.Errorf("grappolo: NewCache: %w", err)
 	}
 	c := cacheConfig{maxBytes: 256 << 20, refresh: 0.25}
 	for _, o := range copts {
@@ -181,21 +231,28 @@ func NewCache(backend Detecter, copts ...CacheOption) (*Cache, error) {
 			Full:            pool.opts.Defaults(),
 		},
 	})
-	return &Cache{backend: backend, pool: pool, store: store, opts: pool.opts}, nil
+	return &Cache{
+		backend:  backend,
+		pool:     pool,
+		store:    store,
+		opts:     pool.opts,
+		inflight: make(map[runKey]*run),
+	}, nil
 }
 
-// Pool returns the underlying engine pool (capacity, options) the cached
-// backend serves from.
-func (c *Cache) Pool() *Pool { return c.pool }
+// enginePool implements tier: a Cache serves from its backend's pool.
+func (c *Cache) enginePool() *Pool {
+	if c == nil {
+		return nil
+	}
+	return c.pool
+}
 
 // Stats returns the cache's cumulative counters and residency snapshot.
 func (c *Cache) Stats() CacheStats {
 	s := c.store.Stats()
-	return CacheStats{
-		Hits: s.Hits, Misses: s.Misses, DeltaRouted: s.DeltaRouted,
-		Evictions: s.Evictions, Expired: s.Expired, Rejected: s.Rejected,
-		Entries: s.Entries, Bytes: s.Bytes,
-	}
+	s.Coalesced = c.coalesced.Load()
+	return s
 }
 
 // Len returns the resident entry count.
@@ -216,18 +273,22 @@ func (c *Cache) Invalidate(g *Graph) bool {
 func (c *Cache) InvalidateAll() int { return c.store.Clear() }
 
 // Detect runs detection on g, serving from the cache when its exact content
-// (and the backend's options) match a live entry, routing small edits
-// incrementally when DeltaEdits is enabled, and falling through to the
-// backend otherwise. The Result is always a fresh copy independent of the
-// cache.
+// (and the backend's options) match a live entry, joining an identical
+// miss already in flight, routing small edits incrementally when
+// DeltaEdits is enabled, and falling through to the backend otherwise. The
+// Result is always a fresh copy independent of the cache.
 func (c *Cache) Detect(ctx context.Context, g *Graph) (*Result, error) {
 	return c.DetectInto(ctx, g, nil)
 }
 
 // DetectInto is Detect recycling a caller-provided Result: a warm hit
-// copies the cached result into res and performs zero allocations. A nil
-// res allocates a fresh Result. Cancellation follows the backend's
-// contract; an exact hit never blocks and never fails.
+// copies the cached result into res and performs zero allocations, as does
+// a warm miss that leads a Pool run whose result the byte budget cannot
+// retain; a follower costs O(1) allocations. A nil res allocates a fresh
+// Result. Cancellation follows the backend's contract; an exact hit never
+// blocks and never fails. On cancellation it returns (nil, ctx.Err()) and
+// res's contents are undefined, but its storage may be passed to a later
+// call.
 func (c *Cache) DetectInto(ctx context.Context, g *Graph, res *Result) (*Result, error) {
 	if g == nil {
 		return nil, ErrNilGraph
@@ -235,11 +296,87 @@ func (c *Cache) DetectInto(ctx context.Context, g *Graph, res *Result) (*Result,
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// Both hashes are memoized on the Graph, so a warm loop — even one
+	// alternating between several resident graphs — pays two atomic loads
+	// here, no hashing and no allocation.
 	key := rescache.Key{FP: g.Fingerprint(), Opts: c.opts}
 	strong := g.StrongHash()
 	if cached, ok := c.store.Get(key, strong); ok {
 		return core.CopyResultInto(res, cached), nil
 	}
+	rk := runKey{fp: key.FP, strong: strong}
+	for {
+		c.mu.Lock()
+		r := c.inflight[rk]
+		if r == nil {
+			r = c.takeRun(rk)
+			c.inflight[rk] = r
+			c.mu.Unlock()
+			return c.lead(ctx, g, key, strong, r, res)
+		}
+		c.mu.Unlock()
+		out, err, retry := c.follow(ctx, r, rk, res)
+		if !retry {
+			return out, err
+		}
+		// The run this request joined ended without a result for it (it was
+		// sealed before the join, or its leader was canceled). Check our own
+		// context, then re-resolve — leading a fresh run if no identical
+		// miss is in flight anymore.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// takeRun pops a recycled run record (or allocates one) and arms it for
+// key. Caller holds c.mu; the nested r.mu acquisition (c.mu → r.mu) is
+// safe because no code path holds r.mu while taking c.mu.
+func (c *Cache) takeRun(key runKey) *run {
+	r := c.free
+	if r == nil {
+		r = &run{}
+	} else {
+		c.free = r.next
+		r.next = nil
+	}
+	// Arm under r.mu: a stale joiner from a previous generation still
+	// holding this pointer must observe either sealed==true (and retry) or
+	// the new key — never a torn mix.
+	r.mu.Lock()
+	r.key = key
+	r.sealed = false
+	r.mu.Unlock()
+	return r
+}
+
+// lead resolves the miss, publishes the result to the store, and fans it
+// out to r's followers. Followers copy from the leader's own result before
+// lead returns, so no shared result outlives the run.
+func (c *Cache) lead(ctx context.Context, g *Graph, key rescache.Key, strong uint64, r *run, res *Result) (*Result, error) {
+	completed := false
+	defer func() {
+		if !completed {
+			// The leader panicked. Seal the run so followers get an error
+			// instead of waiting forever, then let the panic continue through
+			// the leader — the uncoalesced behavior for the caller whose
+			// goroutine drove the backend. The record is not recycled.
+			c.seal(r, nil, errLeaderPanicked)
+		}
+	}()
+	faults.Maybe(faults.CacheLead)
+	out, err := c.resolve(ctx, g, key, strong, res)
+	completed = true
+	// A leader whose own context failed the run fans that error out, and
+	// its followers retry under their own contexts.
+	c.seal(r, out, err)
+	c.recycle(r)
+	return out, err
+}
+
+// resolve serves a miss: onto a cached maintainer when the delta tier
+// routes it, else by a backend run whose result is admitted to the store.
+func (c *Cache) resolve(ctx context.Context, g *Graph, key rescache.Key, strong uint64, res *Result) (*Result, error) {
 	if out, handled, err := c.store.DeltaDetect(ctx, key, g, strong); handled {
 		if err != nil {
 			return nil, err
@@ -250,13 +387,101 @@ func (c *Cache) DetectInto(ctx context.Context, g *Graph, res *Result) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	c.store.Put(key, strong, g, core.CopyResultInto(nil, out), nil)
+	// The store needs a private copy; skip building one it would refuse.
+	if c.store.Admits(g, out) {
+		c.store.Put(key, strong, g, core.CopyResultInto(nil, out), nil)
+	}
 	return out, nil
+}
+
+// seal removes r from the in-flight table (no more joiners) and delivers
+// the outcome to every follower that has not withdrawn. The O(membership)
+// copies run OUTSIDE both mutexes — sealing only holds r.mu long enough to
+// flip the flag, so joins of other runs and cancellations are never
+// blocked behind fan-out copy work. Per-follower claim arbitration (see
+// follower) keeps the copies race-free against cancellation.
+func (c *Cache) seal(r *run, out *Result, err error) {
+	c.mu.Lock()
+	if c.inflight[r.key] == r {
+		delete(c.inflight, r.key)
+	}
+	c.mu.Unlock()
+	r.mu.Lock()
+	r.sealed = true
+	followers := r.followers // frozen: no joins after sealed
+	r.mu.Unlock()
+	for _, f := range followers {
+		if !f.state.CompareAndSwap(followerWaiting, followerClaimed) {
+			continue // withdrew first; its res must not be touched
+		}
+		if err != nil {
+			f.err = err
+		} else {
+			f.out = core.CopyResultInto(f.res, out)
+		}
+		f.ready <- struct{}{}
+	}
+}
+
+// recycle returns a sealed run record to the free list. sealed stays true
+// while free-listed, so stale joiners retry rather than attach to a
+// dormant record.
+func (c *Cache) recycle(r *run) {
+	r.mu.Lock()
+	for i := range r.followers {
+		r.followers[i] = nil
+	}
+	r.followers = r.followers[:0]
+	r.mu.Unlock()
+	c.mu.Lock()
+	r.next = c.free
+	c.free = r
+	c.mu.Unlock()
+}
+
+// follow joins the in-flight run r and waits for its outcome or ctx. retry
+// means r ended without a result for this request and the caller should
+// re-resolve.
+func (c *Cache) follow(ctx context.Context, r *run, key runKey, res *Result) (out *Result, err error, retry bool) {
+	f := &follower{ready: make(chan struct{}, 1), res: res}
+	r.mu.Lock()
+	if r.sealed || r.key != key {
+		// Sealed (or already recycled for another graph) between the table
+		// lookup and the join.
+		r.mu.Unlock()
+		return nil, nil, true
+	}
+	r.followers = append(r.followers, f)
+	r.mu.Unlock()
+	c.joins.Add(1)
+	select {
+	case <-f.ready:
+		if f.err == nil {
+			// Coalesced counts requests actually SERVED by another's run; a
+			// follower whose leader dies retries and is counted by whatever
+			// path finally serves it.
+			c.coalesced.Add(1)
+			return f.out, nil, false
+		}
+		if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
+			// The LEADER was canceled, not this follower.
+			return nil, nil, true
+		}
+		return nil, f.err, false
+	case <-ctx.Done():
+		if !f.state.CompareAndSwap(followerWaiting, followerCanceled) {
+			// The sealer claimed us concurrently and is (or will be)
+			// writing res; wait out that single delivery so res is
+			// quiescent by the time the caller sees the cancellation.
+			<-f.ready
+		}
+		return nil, ctx.Err(), false
+	}
 }
 
 // String describes the cache for logs.
 func (c *Cache) String() string {
-	s := c.store.Stats()
-	return fmt.Sprintf("grappolo.Cache(entries=%d, bytes=%d, hits=%d, misses=%d, delta=%d)",
-		s.Entries, s.Bytes, s.Hits, s.Misses, s.DeltaRouted)
+	s := c.Stats()
+	return fmt.Sprintf("grappolo.Cache(entries=%d, bytes=%d, hits=%d, misses=%d, coalesced=%d, delta=%d)",
+		s.Entries, s.Bytes, s.Hits, s.Misses, s.Coalesced, s.DeltaRouted)
 }

@@ -2,6 +2,8 @@ package grappolo_test
 
 import (
 	"context"
+	"runtime"
+	"sync"
 	"testing"
 
 	"grappolo"
@@ -51,31 +53,209 @@ func TestCacheHitZeroAllocs(t *testing.T) {
 	if led := pool.Stats().Led; led != 1 {
 		t.Errorf("Led = %d, want 1 (only the cold run touches an engine)", led)
 	}
+
+	// Alternating between two resident graphs stays zero-alloc too: the
+	// per-Graph memoized hashes have no single-slot cache to thrash.
+	// Separate recycled Results per graph keep the copy-out shape stable.
+	g2 := generate.MustGenerate(generate.RGG, generate.Small, 1, 1)
+	res2, err := c.Detect(ctx, g2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res2, err = c.DetectInto(ctx, g2, res2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(4, func() {
+		if res, err = c.DetectInto(ctx, g, res); err != nil {
+			return
+		}
+		res2, err = c.DetectInto(ctx, g2, res2)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("warm alternating two-graph Cache.DetectInto hits allocate %v times per round, want 0", allocs)
+	}
+	if led := pool.Stats().Led; led != 2 {
+		t.Errorf("Led = %d, want 2 (one cold run per graph)", led)
+	}
 }
 
-// BenchmarkCacheDetect compares the three serving tiers the cache layers
-// over one pool: cold (every request invalidated first — the uncached
-// baseline plus admission overhead), hit (exact repeat served by copy-out),
-// and delta (a small perturbation routed onto the seeded incremental
-// maintainer instead of a cold run). hit/cold is the caching win; delta sits
-// between them and is the paper's real-time future-work item as a serving
-// fast path.
+// TestCacheWarmMissZeroAllocs pins the miss side of the gate on a
+// retain-nothing Cache: a warm same-shape miss — store lookup, run record
+// checkout from the free list, pool admission, the full detection pipeline
+// into the caller's recycled Result, the skipped retained copy, and the
+// run's seal and recycle — performs ZERO allocations. Single worker:
+// multi-worker sweeps inherently allocate goroutines.
+func TestCacheWarmMissZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	g := generate.MustGenerate(generate.RGG, generate.Small, 0, 1)
+	pool, err := grappolo.NewPool(1, grappolo.Workers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCache(t, pool, retainNothing)
+	ctx := context.Background()
+	res, err := c.Detect(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = c.DetectInto(ctx, g, res) // second warm pass settles the arenas
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		res, err = c.DetectInto(ctx, g, res)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("warm same-shape Cache.DetectInto miss (leader path) allocates %v times per request, want 0", allocs)
+	}
+	if res.NumCommunities <= 1 || res.Modularity <= 0 {
+		t.Fatalf("degenerate result nc=%d Q=%v", res.NumCommunities, res.Modularity)
+	}
+
+	// Alternating between two graphs must stay zero-alloc on the miss
+	// path too.
+	g2 := generate.MustGenerate(generate.RGG, generate.Small, 1, 1)
+	res2, err := c.Detect(ctx, g2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // settle both arenas
+		if res, err = c.DetectInto(ctx, g, res); err != nil {
+			t.Fatal(err)
+		}
+		if res2, err = c.DetectInto(ctx, g2, res2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs = testing.AllocsPerRun(4, func() {
+		if res, err = c.DetectInto(ctx, g, res); err != nil {
+			return
+		}
+		res2, err = c.DetectInto(ctx, g2, res2)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("warm alternating two-graph Cache.DetectInto misses allocate %v times per round, want 0", allocs)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Entries != 0 {
+		t.Errorf("stats = %+v, want no hits and nothing retained", st)
+	}
+}
+
+// TestCacheFollowerAllocsBounded pins the follower side: a coalesced
+// waiter costs O(1) allocations — its join record and signal channel plus
+// the copy-out bookkeeping — independent of graph size and of how many
+// rounds run. Measured as a global allocation delta over many choreographed
+// runs with recycled per-follower Results, so per-round growth (an O(n)
+// slice allocated per follower, say) would blow the bound immediately.
+func TestCacheFollowerAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	g := generate.MustGenerate(generate.RGG, generate.Small, 0, 1)
+	pool, err := grappolo.NewPool(1, grappolo.Workers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCache(t, pool, retainNothing)
+	ctx := context.Background()
+
+	const followers = 4
+	const rounds = 20
+	followerRes := make([]*grappolo.Result, followers)
+	leaderRes, err := c.Detect(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	round := func() {
+		if err := pool.HoldEnginePermit(ctx); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			leaderRes, err = c.DetectInto(ctx, g, leaderRes)
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+		for pool.QueuedWaiters() != 1 {
+			runtime.Gosched()
+		}
+		base := c.JoinedFollowers()
+		for i := 0; i < followers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				var err error
+				followerRes[i], err = c.DetectInto(ctx, g, followerRes[i])
+				if err != nil {
+					t.Error(err)
+				}
+			}(i)
+		}
+		for c.JoinedFollowers() != base+followers {
+			runtime.Gosched()
+		}
+		pool.ReleaseEnginePermit()
+		wg.Wait()
+	}
+	round() // warm every path (follower Results, free lists)
+	round()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for r := 0; r < rounds; r++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	perFollower := float64(after.Mallocs-before.Mallocs) / float64(rounds*followers)
+	// The real warm cost is ~10 small allocations per follower (goroutine +
+	// join record + channel + waitgroup bookkeeping); 64 leaves slack for
+	// runtime noise while still catching any O(graph) copy regression
+	// (membership alone is >1000 entries here).
+	if perFollower > 64 {
+		t.Errorf("follower path averages %.1f allocs/request, want O(1) (<= 64)", perFollower)
+	}
+}
+
+// BenchmarkCacheDetect compares the serving tiers the cache layers over a
+// pool: cold (every request invalidated first — the uncached baseline plus
+// admission overhead), hit (exact repeat served by copy-out), and delta (a
+// small perturbation routed onto the seeded incremental maintainer instead
+// of a cold run). hit/cold is the caching win; delta sits between them and
+// is the paper's real-time future-work item as a serving fast path. Under
+// duplicate concurrent load, uncoalesced (each request runs privately on a
+// bare Pool) against coalesced (a retain-nothing Cache in front of the same
+// pool: concurrent requesters share runs, nothing is served from memory)
+// is the in-flight coalescing win.
 func BenchmarkCacheDetect(b *testing.B) {
 	g := generate.MustGenerate(generate.RGG, generate.ScaleFromEnv(), 0, 0)
-	newCache := func(b *testing.B, copts ...grappolo.CacheOption) *grappolo.Cache {
+	onePool := func(b *testing.B, copts ...grappolo.CacheOption) *grappolo.Cache {
 		pool, err := grappolo.NewPool(1, grappolo.Workers(0))
 		if err != nil {
 			b.Fatal(err)
 		}
-		c, err := grappolo.NewCache(pool, copts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c
+		return newCache(b, pool, copts...)
 	}
 	ctx := context.Background()
 	b.Run("cold", func(b *testing.B) {
-		c := newCache(b)
+		c := onePool(b)
 		var res *grappolo.Result
 		var err error
 		if res, err = c.Detect(ctx, g); err != nil {
@@ -91,7 +271,7 @@ func BenchmarkCacheDetect(b *testing.B) {
 		}
 	})
 	b.Run("hit", func(b *testing.B) {
-		c := newCache(b)
+		c := onePool(b)
 		var res *grappolo.Result
 		var err error
 		if res, err = c.Detect(ctx, g); err != nil {
@@ -106,7 +286,7 @@ func BenchmarkCacheDetect(b *testing.B) {
 		}
 	})
 	b.Run("delta", func(b *testing.B) {
-		c := newCache(b, grappolo.DeltaEdits(8))
+		c := onePool(b, grappolo.DeltaEdits(8))
 		// A two-edge perturbation of g: within the edit budget, so every
 		// iteration (after invalidating the variant's own entry) re-routes
 		// the diff onto a maintainer seeded from the base entry.
@@ -140,6 +320,53 @@ func BenchmarkCacheDetect(b *testing.B) {
 			c.Invalidate(variant)
 			if res, err = c.DetectInto(ctx, variant, res); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("uncoalesced", func(b *testing.B) {
+		duplicateLoad(b, g, warmPool(b, g))
+	})
+	b.Run("coalesced", func(b *testing.B) {
+		duplicateLoad(b, g, newCache(b, warmPool(b, g), retainNothing))
+	})
+}
+
+// warmPool returns a GOMAXPROCS-engine single-worker pool with every
+// engine warmed on g.
+func warmPool(b *testing.B, g *grappolo.Graph) *grappolo.Pool {
+	pool, err := grappolo.NewPool(runtime.GOMAXPROCS(0), grappolo.Workers(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for i := 0; i < pool.Size(); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := pool.Detect(ctx, g); err != nil {
+				b.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	return pool
+}
+
+// duplicateLoad drives 8×GOMAXPROCS concurrent requesters of the same
+// graph through d — duplicate overload on any core count.
+func duplicateLoad(b *testing.B, g *grappolo.Graph, d grappolo.Detecter) {
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.SetParallelism(8)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		var res *grappolo.Result
+		var err error
+		for pb.Next() {
+			if res, err = d.DetectInto(ctx, g, res); err != nil {
+				b.Error(err)
+				return
 			}
 		}
 	})

@@ -27,8 +27,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // mustMatch asserts res is bit-identical to the one-shot reference for its
-// graph — the coalescing contract: a batched caller must be unable to tell
-// whether its result came from a private run or a shared one.
+// graph — the coalescing contract: a coalesced caller must be unable to
+// tell whether its result came from a private run or a shared one.
 func mustMatch(t *testing.T, tag string, res, want *grappolo.Result) {
 	t.Helper()
 	if res == nil {
@@ -71,24 +71,62 @@ func cliqueRing(t *testing.T, cliques, size int) *grappolo.Graph {
 	return b.Build(2)
 }
 
-// TestBatcherCoalescesConcurrentDetects is the acceptance pin: 8 concurrent
-// Detects of the SAME graph perform exactly ONE engine run, and every
-// caller's result is bit-identical to a one-shot core.Run. The pool's only
-// permit is held so the batch leader queues while the other seven coalesce
-// behind it deterministically.
-func TestBatcherCoalescesConcurrentDetects(t *testing.T) {
-	g := generate.MustGenerate(generate.RGG, generate.Small, 0, 4)
-	want := core.Run(g, core.Options{Workers: 4})
-
-	pool, err := grappolo.NewPool(1, grappolo.Workers(4))
+// newCache wraps backend in a Cache with copts, failing the test on error.
+func newCache(t testing.TB, backend grappolo.Detecter, copts ...grappolo.CacheOption) *grappolo.Cache {
+	t.Helper()
+	c, err := grappolo.NewCache(backend, copts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := grappolo.NewBatcher(pool)
+	return c
+}
+
+// retainNothing is a byte budget below any entry's size: the Cache keeps
+// no result across time, so every request misses and only the in-flight
+// coalescing remains — Led + Coalesced then sums to the request count.
+var retainNothing = grappolo.CacheBytes(1)
+
+// TestCacheCoalescesConcurrentMisses is the acceptance pin: 8 concurrent
+// misses of the SAME graph perform exactly ONE backend run, and every
+// caller's result is bit-identical to a one-shot detection. The pool's
+// only permit is held so the leader queues while the other seven coalesce
+// behind it deterministically. It runs over a Pool backend and over a
+// Sharded one, whose single run checks out as many engines as one sharded
+// detection on a fresh pool.
+func TestCacheCoalescesConcurrentMisses(t *testing.T) {
+	g := generate.MustGenerate(generate.RGG, generate.Small, 0, 4)
+	t.Run("Pool", func(t *testing.T) {
+		pool, err := grappolo.NewPool(1, grappolo.Workers(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		coalesceEight(t, newCache(t, pool), pool, g, core.Run(g, core.Options{Workers: 4}), 1)
+	})
+	t.Run("Sharded", func(t *testing.T) {
+		ref := newSharded(t, 1, grappolo.WithShards(2))
+		want, err := ref.Detect(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, err := grappolo.NewPool(1, grappolo.Workers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, err := grappolo.NewSharded(pool, grappolo.WithShards(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		coalesceEight(t, newCache(t, sh), pool, g, want, ref.Stats().Led)
+	})
+}
+
+// coalesceEight sends 8 concurrent identical misses through c while the
+// test holds pool's only permit, then checks that they shared one backend
+// run of wantLed engine checkouts and got independent copies of want.
+func coalesceEight(t *testing.T, c *grappolo.Cache, pool *grappolo.Pool, g *grappolo.Graph, want *grappolo.Result, wantLed int64) {
 	if err := pool.HoldEnginePermit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-
 	const requests = 8
 	results := make([]*grappolo.Result, requests)
 	errs := make([]error, requests)
@@ -97,12 +135,12 @@ func TestBatcherCoalescesConcurrentDetects(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = b.Detect(context.Background(), g)
+			results[i], errs[i] = c.Detect(context.Background(), g)
 		}(i)
 	}
-	// 1 leader queued for the engine + 7 followers coalesced behind it.
+	// 1 leader queued for an engine + 7 followers coalesced behind it.
 	waitFor(t, "8 requests to attach (1 leader queued, 7 followers)", func() bool {
-		return b.JoinedFollowers() == requests-1 && pool.QueuedWaiters() == 1
+		return c.JoinedFollowers() == requests-1 && pool.QueuedWaiters() >= 1
 	})
 	pool.ReleaseEnginePermit()
 	wg.Wait()
@@ -116,22 +154,21 @@ func TestBatcherCoalescesConcurrentDetects(t *testing.T) {
 	// Results are independent copies, not views of one shared allocation.
 	for i := 1; i < requests; i++ {
 		if &results[i].Membership[0] == &results[0].Membership[0] {
-			t.Fatal("batched results share membership storage")
+			t.Fatal("coalesced results share membership storage")
 		}
 	}
-	st := b.Stats()
-	if st.Led != 1 {
-		t.Fatalf("engine runs = %d, want exactly 1 for %d coalesced requests", st.Led, requests)
+	if led := pool.Stats().Led; led != wantLed {
+		t.Fatalf("engine checkouts = %d, want %d: one backend run for %d coalesced requests", led, wantLed, requests)
 	}
-	if st.Batched != requests-1 {
-		t.Fatalf("Batched = %d, want %d", st.Batched, requests-1)
+	if st := c.Stats(); st.Coalesced != requests-1 || st.Misses != requests {
+		t.Fatalf("stats = %+v, want Coalesced=%d of %d misses", st, requests-1, requests)
 	}
 }
 
-// TestBatcherDistinctGraphsDoNotCoalesce pins the complement: concurrent
-// requests for structurally different graphs each get their own run and
-// their own (never cross-wired) result.
-func TestBatcherDistinctGraphsDoNotCoalesce(t *testing.T) {
+// TestCacheDistinctGraphsDoNotCoalesce pins the complement: requests for
+// structurally different graphs each get their own run and their own
+// (never cross-wired) result.
+func TestCacheDistinctGraphsDoNotCoalesce(t *testing.T) {
 	a := cliqueRing(t, 4, 5)
 	c := cliqueRing(t, 6, 4)
 	wantA := core.Run(a, core.Options{Workers: 2})
@@ -141,25 +178,25 @@ func TestBatcherDistinctGraphsDoNotCoalesce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := grappolo.NewBatcher(pool)
-	resA, errA := b.Detect(context.Background(), a)
-	resC, errC := b.Detect(context.Background(), c)
+	cache := newCache(t, pool)
+	resA, errA := cache.Detect(context.Background(), a)
+	resC, errC := cache.Detect(context.Background(), c)
 	if errA != nil || errC != nil {
 		t.Fatal(errA, errC)
 	}
 	mustMatch(t, "graph A", resA, wantA)
 	mustMatch(t, "graph C", resC, wantC)
-	if st := b.Stats(); st.Led != 2 || st.Batched != 0 {
-		t.Fatalf("stats = %+v, want 2 runs and 0 batched", st)
+	if led, st := pool.Stats().Led, cache.Stats(); led != 2 || st.Coalesced != 0 {
+		t.Fatalf("Led = %d, stats = %+v, want 2 runs and 0 coalesced", led, st)
 	}
 }
 
-// TestBatcherStressNeverCrossWires hammers the batcher from many goroutines
-// over several graph shapes (the -race extension of the PR 4 pool stress
-// test): every caller's result must be bit-identical to the one-shot
-// reference FOR ITS GRAPH, no matter how requests coalesce, and the
-// leader/follower accounting must add up to the request count.
-func TestBatcherStressNeverCrossWires(t *testing.T) {
+// TestCacheCoalesceStressNeverCrossWires hammers a retain-nothing Cache
+// from many goroutines over several graph shapes: every caller's result
+// must be bit-identical to the one-shot reference FOR ITS GRAPH, no matter
+// how requests coalesce, and the leader/follower accounting must add up to
+// the request count.
+func TestCacheCoalesceStressNeverCrossWires(t *testing.T) {
 	inputs := []generate.Input{generate.CNR, generate.MG1, generate.EuropeOSM}
 	graphs := make([]*grappolo.Graph, len(inputs))
 	wants := make([]*grappolo.Result, len(inputs))
@@ -172,7 +209,7 @@ func TestBatcherStressNeverCrossWires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := grappolo.NewBatcher(pool)
+	c := newCache(t, pool, retainNothing)
 	const goroutines = 10
 	const perG = 8
 	ctx := context.Background()
@@ -190,9 +227,9 @@ func TestBatcherStressNeverCrossWires(t *testing.T) {
 				// through all shapes to chase cross-wiring.
 				gi := (w/2 + r) % len(graphs)
 				if r%2 == 0 {
-					res, err = b.Detect(ctx, graphs[gi])
+					res, err = c.Detect(ctx, graphs[gi])
 				} else {
-					res, err = b.DetectInto(ctx, graphs[gi], res)
+					res, err = c.DetectInto(ctx, graphs[gi], res)
 				}
 				if err != nil {
 					failed <- fmt.Errorf("goroutine %d req %d on %s: %v", w, r, inputs[gi], err)
@@ -220,27 +257,27 @@ func TestBatcherStressNeverCrossWires(t *testing.T) {
 	for err := range failed {
 		t.Fatal(err)
 	}
-	st := b.Stats()
-	if st.Led+st.Batched != goroutines*perG {
-		t.Fatalf("Led(%d) + Batched(%d) != %d requests", st.Led, st.Batched, goroutines*perG)
+	ps, cs := pool.Stats(), c.Stats()
+	if ps.Led+cs.Coalesced != goroutines*perG {
+		t.Fatalf("Led(%d) + Coalesced(%d) != %d requests", ps.Led, cs.Coalesced, goroutines*perG)
 	}
-	if st.Canceled != 0 {
-		t.Fatalf("Canceled = %d with no cancellations issued", st.Canceled)
+	if ps.Canceled != 0 {
+		t.Fatalf("Canceled = %d with no cancellations issued", ps.Canceled)
 	}
 	if pool.AvailablePermits() != pool.Size() {
 		t.Fatalf("leaked permits: %d available, want %d", pool.AvailablePermits(), pool.Size())
 	}
 }
 
-// TestBatcherAdmissionOrderFairness is the fairness property pin: with the
-// pool overloaded (single engine, permit held by the test), requests for
-// DISTINCT graphs are admitted one at a time in a known order, a victim is
+// TestCacheAdmissionOrderFairness is the fairness property pin: with the
+// pool overloaded (single engine, permit held by the test), cache misses
+// for DISTINCT graphs lead their own runs and are admitted one at a time in a known order, a victim is
 // canceled while queued, and the cascade is then released one engine grant
 // at a time — interleaved test-owned holds pause the pipeline after every
 // run, making the completion order observation deterministic. Completion
 // order must equal admission order with the victim skipped; the victim must
 // return its ctx.Err() promptly; and no permit or goroutine may leak.
-func TestBatcherAdmissionOrderFairness(t *testing.T) {
+func TestCacheAdmissionOrderFairness(t *testing.T) {
 	const requests = 5
 	const victim = 2
 	startGoroutines := runtime.NumGoroutine()
@@ -256,7 +293,7 @@ func TestBatcherAdmissionOrderFairness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := grappolo.NewBatcher(pool)
+	c := newCache(t, pool)
 	if err := pool.HoldEnginePermit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +312,7 @@ func TestBatcherAdmissionOrderFairness(t *testing.T) {
 		ctxs[i], cancels[i] = context.WithCancel(context.Background())
 		done[i] = make(chan error, 1)
 		go func(i int) {
-			res, err := b.Detect(ctxs[i], graphs[i])
+			res, err := c.Detect(ctxs[i], graphs[i])
 			if err == nil {
 				mu.Lock()
 				order = append(order, i)
@@ -351,28 +388,28 @@ func TestBatcherAdmissionOrderFairness(t *testing.T) {
 	waitFor(t, "all permits returned", func() bool {
 		return pool.AvailablePermits() == pool.Size() && pool.QueuedWaiters() == 0
 	})
-	if st := b.Stats(); st.Canceled != 1 {
+	if st := pool.Stats(); st.Canceled != 1 {
 		t.Fatalf("Canceled = %d, want 1", st.Canceled)
 	}
-	// ...and no goroutine leaked (workers are per-call, batches fan out and
+	// ...and no goroutine leaked (workers are per-call, runs fan out and
 	// die with their leaders).
 	waitFor(t, "goroutines to settle", func() bool {
 		return runtime.NumGoroutine() <= startGoroutines+4
 	})
 }
 
-// TestBatcherFollowerCancelIsPromptAndLeakFree pins the follower side of
-// the cancellation contract: a follower abandoning a still-queued batch
+// TestCacheFollowerCancelIsPromptAndLeakFree pins the follower side of
+// the cancellation contract: a follower abandoning a still-queued run
 // returns its own ctx.Err() immediately (it never held a permit, so none
-// can leak) and the remaining members complete untouched.
-func TestBatcherFollowerCancelIsPromptAndLeakFree(t *testing.T) {
+// can leak) and the leader completes untouched.
+func TestCacheFollowerCancelIsPromptAndLeakFree(t *testing.T) {
 	g := cliqueRing(t, 4, 5)
 	want := core.Run(g, core.Options{Workers: 1})
 	pool, err := grappolo.NewPool(1, grappolo.Workers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := grappolo.NewBatcher(pool)
+	c := newCache(t, pool)
 	if err := pool.HoldEnginePermit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +418,7 @@ func TestBatcherFollowerCancelIsPromptAndLeakFree(t *testing.T) {
 	var leaderRes *grappolo.Result
 	go func() {
 		var err error
-		leaderRes, err = b.Detect(context.Background(), g)
+		leaderRes, err = c.Detect(context.Background(), g)
 		leaderDone <- err
 	}()
 	waitFor(t, "leader to queue", func() bool { return pool.QueuedWaiters() == 1 })
@@ -389,10 +426,10 @@ func TestBatcherFollowerCancelIsPromptAndLeakFree(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	followerDone := make(chan error, 1)
 	go func() {
-		_, err := b.Detect(ctx, g)
+		_, err := c.Detect(ctx, g)
 		followerDone <- err
 	}()
-	waitFor(t, "follower to join", func() bool { return b.JoinedFollowers() == 1 })
+	waitFor(t, "follower to join", func() bool { return c.JoinedFollowers() == 1 })
 
 	cancel()
 	select {
@@ -409,26 +446,31 @@ func TestBatcherFollowerCancelIsPromptAndLeakFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustMatch(t, "leader", leaderRes, want)
-	if st := b.Stats(); st.Led != 1 || st.Canceled != 1 {
-		t.Fatalf("stats = %+v, want Led=1 Canceled=1", st)
+	// The follower never reached the pool, so the pool saw one run and no
+	// cancellation; the cache served no one by coalescing.
+	if st := pool.Stats(); st.Led != 1 || st.Canceled != 0 {
+		t.Fatalf("pool stats = %+v, want Led=1 Canceled=0", st)
+	}
+	if st := c.Stats(); st.Coalesced != 0 || st.Misses != 2 {
+		t.Fatalf("cache stats = %+v, want Coalesced=0 of 2 misses", st)
 	}
 	if pool.AvailablePermits() != 1 {
 		t.Fatal("permit leaked after follower cancellation")
 	}
 }
 
-// TestBatcherLeaderCancelPromotesFollower pins the leader side: when the
-// leader of a batch is canceled (here while queued for an engine), a live
+// TestCacheLeaderCancelPromotesFollower pins the leader side: when the
+// leader of a run is canceled (here while queued for an engine), a live
 // follower must not inherit the leader's error — it transparently retries,
 // becomes the new leader, and completes with a correct result.
-func TestBatcherLeaderCancelPromotesFollower(t *testing.T) {
+func TestCacheLeaderCancelPromotesFollower(t *testing.T) {
 	g := cliqueRing(t, 5, 4)
 	want := core.Run(g, core.Options{Workers: 1})
 	pool, err := grappolo.NewPool(1, grappolo.Workers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := grappolo.NewBatcher(pool)
+	c := newCache(t, pool)
 	if err := pool.HoldEnginePermit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +478,7 @@ func TestBatcherLeaderCancelPromotesFollower(t *testing.T) {
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, err := b.Detect(leaderCtx, g)
+		_, err := c.Detect(leaderCtx, g)
 		leaderDone <- err
 	}()
 	waitFor(t, "leader to queue", func() bool { return pool.QueuedWaiters() == 1 })
@@ -445,10 +487,10 @@ func TestBatcherLeaderCancelPromotesFollower(t *testing.T) {
 	var followerRes *grappolo.Result
 	go func() {
 		var err error
-		followerRes, err = b.Detect(context.Background(), g)
+		followerRes, err = c.Detect(context.Background(), g)
 		followerDone <- err
 	}()
-	waitFor(t, "follower to join", func() bool { return b.JoinedFollowers() == 1 })
+	waitFor(t, "follower to join", func() bool { return c.JoinedFollowers() == 1 })
 
 	cancelLeader()
 	select {
@@ -459,7 +501,7 @@ func TestBatcherLeaderCancelPromotesFollower(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("canceled leader did not return promptly")
 	}
-	// The follower retries and re-queues as the new leader of its own batch.
+	// The follower retries and re-queues as the new leader of its own run.
 	waitFor(t, "follower to requeue as the new leader", func() bool {
 		return pool.QueuedWaiters() == 1
 	})
@@ -472,9 +514,9 @@ func TestBatcherLeaderCancelPromotesFollower(t *testing.T) {
 		t.Fatal("permit leaked after leader cancellation")
 	}
 	// Accounting: the promoted follower completed by LEADING its own run,
-	// so it counts toward Led, not Batched — Batched+Led stays the number
-	// of completed requests.
-	if st := b.Stats(); st.Batched != 0 || st.Led != 1 {
-		t.Fatalf("stats = %+v, want Batched=0 Led=1 after promotion", st)
+	// so it counts toward Led, not Coalesced — Coalesced+Led stays the
+	// number of completed requests.
+	if led, st := pool.Stats().Led, c.Stats(); st.Coalesced != 0 || led != 1 {
+		t.Fatalf("Led = %d, stats = %+v, want Coalesced=0 Led=1 after promotion", led, st)
 	}
 }

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"grappolo"
+	"grappolo/internal/core"
 	"grappolo/internal/generate"
 	igraph "grappolo/internal/graph"
 )
@@ -223,17 +223,15 @@ func TestCacheCollisionNeverCrossServed(t *testing.T) {
 	}
 }
 
-// TestBatcherCollisionDiverts pins the batcher side of the same guarantee:
-// a request whose graph collides with the in-flight leader's sampled
-// fingerprint is diverted to a private run, never handed the leader's
-// result.
-func TestBatcherCollisionDiverts(t *testing.T) {
+// TestCacheCollisionLeadsOwnRun pins the in-flight side of the same
+// guarantee: a miss whose graph collides with an in-flight leader's
+// sampled fingerprint leads its own run — two leaders queue, no follower
+// joins — and is never handed the leader's result.
+func TestCacheCollisionLeadsOwnRun(t *testing.T) {
 	gA, gB := igraph.CollidingRingPair(100)
-	pool, err := grappolo.NewPool(1, grappolo.Workers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := grappolo.NewBatcher(pool)
+	wantA := core.Run(gA, core.Options{Workers: 1})
+	wantB := core.Run(gB, core.Options{Workers: 1})
+	c, pool := newCachedPool(t)
 	ctx := context.Background()
 	if err := pool.HoldEnginePermit(ctx); err != nil {
 		t.Fatal(err)
@@ -244,35 +242,30 @@ func TestBatcherCollisionDiverts(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		var err error
-		if resA, err = b.Detect(ctx, gA); err != nil {
+		if resA, err = c.Detect(ctx, gA); err != nil {
 			t.Error(err)
 		}
 	}()
-	for pool.QueuedWaiters() != 1 { // leader parked in admission
-		runtime.Gosched()
-	}
+	waitFor(t, "A's leader to queue", func() bool { return pool.QueuedWaiters() == 1 })
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		var err error
-		if resB, err = b.Detect(ctx, gB); err != nil {
+		if resB, err = c.Detect(ctx, gB); err != nil {
 			t.Error(err)
 		}
 	}()
-	for b.DivertedFollowers() != 1 { // gB refused the join, queued privately
-		runtime.Gosched()
-	}
+	waitFor(t, "B to queue as a second leader", func() bool { return pool.QueuedWaiters() == 2 })
 	pool.ReleaseEnginePermit()
 	wg.Wait()
-	if b.JoinedFollowers() != 0 {
-		t.Errorf("colliding request attached as a follower (joins=%d)", b.JoinedFollowers())
+	if c.JoinedFollowers() != 0 {
+		t.Errorf("colliding request attached as a follower (joins=%d)", c.JoinedFollowers())
 	}
 	if pool.Stats().Led != 2 {
 		t.Errorf("Led = %d, want 2 separate engine runs", pool.Stats().Led)
 	}
-	if resA == nil || resB == nil || len(resA.Membership) != 100 || len(resB.Membership) != 100 {
-		t.Fatal("both requests must be served complete results")
-	}
+	mustMatch(t, "graph A", resA, wantA)
+	mustMatch(t, "graph B", resB, wantB)
 }
 
 // TestCacheDeltaRouting pins the delta tier: a re-upload within the edge
@@ -376,14 +369,57 @@ func TestCacheDeltaNotRoutable(t *testing.T) {
 	}
 }
 
+// TestCacheShardedDeltaResetsIncremental is the regression test for a
+// recycled Result leaking its Incremental flag through a Sharded backend:
+// one client sends a base graph, a delta-routed one-edge variant (marked
+// Incremental), then a distinct graph, whose cold sharded result must not
+// be marked Incremental — neither as returned nor as cached.
+func TestCacheShardedDeltaResetsIncremental(t *testing.T) {
+	c := newCache(t, newSharded(t, 1, grappolo.WithShards(2)), grappolo.DeltaEdits(8))
+	base := grappolo.FromEdges(10, cliquePairEdges(), 1)
+	variant := grappolo.FromEdges(10, append(cliquePairEdges(), grappolo.Edge{U: 0, V: 7, W: 1}), 1)
+	other := grappolo.FromEdges(200, ringEdges(200, 0), 1)
+	ctx := context.Background()
+	var res *grappolo.Result
+	var err error
+	for _, step := range []struct {
+		tag         string
+		g           *grappolo.Graph
+		incremental bool
+	}{
+		{"base", base, false},
+		{"one-edge variant", variant, true},
+		{"distinct graph", other, false},
+	} {
+		if res, err = c.DetectInto(ctx, step.g, res); err != nil {
+			t.Fatal(err)
+		}
+		if res.Incremental != step.incremental {
+			t.Fatalf("%s: Incremental = %v, want %v", step.tag, res.Incremental, step.incremental)
+		}
+	}
+	hit, err := c.Detect(ctx, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.Incremental {
+		t.Error("cached cold result served as Incremental")
+	}
+	if st := c.Stats(); st.DeltaRouted != 1 || st.Hits != 1 {
+		t.Errorf("stats = %+v, want 1 delta-routed request and 1 hit", st)
+	}
+}
+
 // TestNewCacheConfig pins constructor validation.
 func TestNewCacheConfig(t *testing.T) {
 	pool, err := grappolo.NewPool(1, grappolo.Workers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := grappolo.NewCache(nil); err == nil {
-		t.Error("nil backend accepted")
+	for _, nilBackend := range []grappolo.Detecter{nil, (*grappolo.Pool)(nil), (*grappolo.Sharded)(nil)} {
+		if _, err := grappolo.NewCache(nilBackend); err == nil {
+			t.Errorf("nil backend %T accepted", nilBackend)
+		}
 	}
 	if _, err := grappolo.NewCache(pool, grappolo.CacheTTL(-time.Second)); err == nil {
 		t.Error("negative TTL accepted")

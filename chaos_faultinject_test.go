@@ -18,7 +18,7 @@ import (
 
 // This file is the chaos layer of the robustness work: it builds only
 // under the faultinject tag, arms seeded deterministic fault plans against
-// the full serving stack (Guard → Batcher → Pool → Engine), and asserts
+// the full serving stack (Guard → Cache → Pool → Engine), and asserts
 // the stack's invariants hold while faults are striking — no leaked
 // permits or goroutines, no cross-wired results, typed errors for every
 // failure class, and full recovery once the plan is disarmed. Run with:
@@ -120,8 +120,10 @@ func TestChaosGuardSoak(t *testing.T) {
 	// MaxInFlight deliberately below the worker count and a slowed pool
 	// serve (below) so the admission queue really builds: the soak must
 	// exercise ALL outcome classes — degraded serves, depth and wait
-	// sheds — not just the happy path with sprinkled panics.
-	gd, err := grappolo.NewGuard(grappolo.NewBatcher(pool),
+	// sheds — not just the happy path with sprinkled panics. The Cache
+	// retains nothing, so every request misses and the engine probes fire
+	// once per run, as they would on a bare pool.
+	gd, err := grappolo.NewGuard(newCache(t, pool, retainNothing),
 		grappolo.MaxInFlight(2),
 		grappolo.MaxQueueDepth(3),
 		grappolo.MaxQueueWait(maxWait),
@@ -137,12 +139,12 @@ func TestChaosGuardSoak(t *testing.T) {
 		PanicEvery: func() (pe [faults.NumPoints]int) {
 			pe[faults.EngineRun] = 7
 			pe[faults.PoolServe] = 9
-			pe[faults.BatchLead] = 11
+			pe[faults.CacheLead] = 11
 			return
 		}(),
 		SlowEvery: func() (se [faults.NumPoints]int) {
 			se[faults.PoolServe] = 2
-			se[faults.BatchLead] = 5
+			se[faults.CacheLead] = 5
 			return
 		}(),
 		SlowNanos: int64(5 * time.Millisecond),
@@ -306,23 +308,23 @@ func TestFaultInjectEngineRunPanic(t *testing.T) {
 	}
 }
 
-// TestFaultInjectLeaderPanicPrePool pins the batch-lead probe: a panic
-// struck BEFORE the leader reaches the pool must seal the batch and
-// surface as a typed fault, without consuming a pool permit or
-// quarantining any engine (none was involved).
+// TestFaultInjectLeaderPanicPrePool pins the cache-lead probe: a panic
+// struck BEFORE the leader reaches the pool must seal its run and surface
+// as a typed fault, without consuming a pool permit or quarantining any
+// engine (none was involved).
 func TestFaultInjectLeaderPanicPrePool(t *testing.T) {
 	ctx := context.Background()
 	pool, err := grappolo.NewPool(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gd, err := grappolo.NewGuard(grappolo.NewBatcher(pool))
+	gd, err := grappolo.NewGuard(newCache(t, pool, retainNothing))
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := cliqueRing(t, 4, 5)
 	armPlan(t, &faults.Plan{PanicEvery: func() (pe [faults.NumPoints]int) {
-		pe[faults.BatchLead] = 1
+		pe[faults.CacheLead] = 1
 		return
 	}()})
 
@@ -334,8 +336,8 @@ func TestFaultInjectLeaderPanicPrePool(t *testing.T) {
 	if !errors.As(err, &fe) {
 		t.Fatalf("err = %#v, want *EngineFaultError", err)
 	}
-	if inj, ok := fe.Panic.(faults.Injected); !ok || inj.Point != faults.BatchLead {
-		t.Errorf("recovered panic = %#v, want Injected at BatchLead", fe.Panic)
+	if inj, ok := fe.Panic.(faults.Injected); !ok || inj.Point != faults.CacheLead {
+		t.Errorf("recovered panic = %#v, want Injected at CacheLead", fe.Panic)
 	}
 	if s := pool.Stats(); s.Faulted != 0 || s.Led != 0 {
 		t.Errorf("pre-pool panic touched the pool: %+v", s)
@@ -400,7 +402,7 @@ func TestFaultInjectMidQueueCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := grappolo.NewBatcher(pool)
+	c := newCache(t, pool, retainNothing)
 	// Four distinct graphs: unique fingerprints, so nothing coalesces and
 	// all four requests contend for the single slowed engine.
 	graphs := []*grappolo.Graph{
@@ -423,7 +425,7 @@ func TestFaultInjectMidQueueCancellation(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = b.Detect(reqCtx, graphs[i])
+			_, errs[i] = c.Detect(reqCtx, graphs[i])
 		}()
 	}
 	launch(0, ctx) // takes the permit, sleeps in serve

@@ -40,7 +40,7 @@ type suite struct {
 // path) and the serving tiers that funnel into them.
 var defaultSuites = []suite{
 	{Pkg: "./internal/core", Bench: "^(BenchmarkDecideSweep|BenchmarkSweepUncolored|BenchmarkSweepColored|BenchmarkSweepAsyncPLM|BenchmarkRebuildParallel)$", Benchtime: "30x"},
-	{Pkg: ".", Bench: "^(BenchmarkPoolDetect|BenchmarkBatcherDetect|BenchmarkShardedDetect|BenchmarkCacheDetect)$", Benchtime: "3x"},
+	{Pkg: ".", Bench: "^(BenchmarkPoolDetect|BenchmarkShardedDetect|BenchmarkCacheDetect)$", Benchtime: "3x"},
 }
 
 // result is one parsed benchmark line.

@@ -11,16 +11,17 @@
 //	grappolo -file g.txt -serial            # serial Louvain reference
 //	grappolo -file g.txt -out membership.txt
 //	grappolo -input rgg -serve -clients 16  # serving-shell demo (Pool)
-//	grappolo -input rgg -serve -batch       # …with request coalescing
-//	grappolo -input rgg -serve -batch -maxqueue 8 -deadline 2s -degrade 4
-//	                                        # …guarded: shedding, deadline
-//	                                        #   budget, degraded fast profile
+//	grappolo -input rgg -serve -cache -maxqueue 8 -deadline 2s -degrade 4
+//	                                        # …cached and guarded: shedding,
+//	                                        #   deadline budget, degraded
+//	                                        #   fast profile
 //	grappolo -input rgg -serve -shards 4 -exchange 2
 //	                                        # …sharded: ghost-label-exchange
 //	                                        #   partitioned detection
 //	grappolo -input rgg -serve -cache -cachettl 1m
-//	                                        # …cached: repeated identical
-//	                                        #   graphs served with zero
+//	                                        # …cached: concurrent duplicates
+//	                                        #   coalesced onto one run,
+//	                                        #   repeats served with zero
 //	                                        #   engine runs
 //	grappolo -input rgg -serve -cache -delta 64
 //	                                        # …with near-identical re-uploads
@@ -73,7 +74,6 @@ func run(args []string) error {
 		top       = fs.Int("top", 0, "print per-community stats for the N largest communities")
 		quiet     = fs.Bool("q", false, "suppress per-phase trace")
 		serve     = fs.Bool("serve", false, "serving-shell demo: answer -requests concurrent duplicate detections from -clients goroutines through a Pool")
-		batch     = fs.Bool("batch", false, "with -serve: put a coalescing Batcher in front of the Pool (duplicate requests share one engine run)")
 		clients   = fs.Int("clients", 8, "with -serve: concurrent requester goroutines")
 		requests  = fs.Int("requests", 64, "with -serve: total requests across all clients")
 		maxqueue  = fs.Int("maxqueue", -1, "with -serve: guard the stack, shedding requests that would queue deeper than this (-1 = unbounded)")
@@ -81,7 +81,7 @@ func run(args []string) error {
 		degrade   = fs.Int("degrade", 0, "with -serve: guard the stack, serving requests queued at this depth or beyond with the degraded fast profile (0 = off)")
 		shards    = fs.Int("shards", 0, "with -serve: serve through the Sharded tier, partitioning the graph into this many shards with ghost-label exchange (0 = off)")
 		exchange  = fs.Int("exchange", 2, "with -serve -shards: ghost-label exchange rounds between shard sweeps")
-		cacheOn   = fs.Bool("cache", false, "with -serve: put a result Cache in front of the backend (repeated identical graphs are served with zero engine runs)")
+		cacheOn   = fs.Bool("cache", false, "with -serve: put a result Cache in front of the backend (concurrent duplicates share one engine run; repeated identical graphs are served with zero engine runs)")
 		cachettl  = fs.Duration("cachettl", 0, "with -serve -cache: entry time-to-live (0 = until evicted)")
 		cacheByt  = fs.Int64("cachebytes", 0, "with -serve -cache: resident byte budget for cached graphs+results (0 = default 256 MiB)")
 		delta     = fs.Int("delta", 0, "with -serve -cache: edge-edit budget for routing near-identical re-uploads onto the incremental maintainer instead of a cold run (0 = off)")
@@ -110,15 +110,9 @@ func run(args []string) error {
 		return fmt.Errorf("-cachettl, -cachebytes and -delta require -cache")
 	}
 	if *serve {
-		if *batch && *shards > 0 {
-			return fmt.Errorf("-batch and -shards are mutually exclusive (a Batcher coalesces pool runs, a Sharded partitions them)")
-		}
-		return serveDemo(g, *workers, *batch, *clients, *requests, *quiet,
+		return serveDemo(g, *workers, *clients, *requests, *quiet,
 			*maxqueue, *deadline, *degrade, *shards, *exchange,
 			*cacheOn, *cachettl, *cacheByt, *delta)
-	}
-	if *batch {
-		return fmt.Errorf("-batch requires -serve")
 	}
 	if *maxqueue >= 0 || *deadline > 0 || *degrade > 0 {
 		return fmt.Errorf("-maxqueue, -deadline and -degrade require -serve")
@@ -268,18 +262,18 @@ func run(args []string) error {
 
 // serveDemo exercises the serving shell the way a clustering service would:
 // a fixed client fleet hammers the same resident graph — the duplicate-load
-// shape request batching exists for — and the counters show the coalescing
-// win (requests answered vs engine runs actually performed). Any of the
-// guard flags (-maxqueue, -deadline, -degrade) wraps the stack in a Guard:
-// shed requests (ErrOverloaded) then count as back-pressure, not failures,
+// shape the cache exists for — and the counters show the win (requests
+// answered vs engine runs actually performed). Any of the guard flags
+// (-maxqueue, -deadline, -degrade) wraps the stack in a Guard: shed
+// requests (ErrOverloaded) then count as back-pressure, not failures,
 // and requests admitted under queue pressure may be answered by the
 // degraded fast profile (marked in the stats line). -shards swaps the
 // backend for the Sharded tier: every request is answered by a partitioned
 // ghost-label-exchange detection whose shard sweeps draw engines from the
 // same pool. -cache fronts the stack with a result cache: under this demo's
-// duplicate load, every request after the first is an exact hit served with
-// zero engine runs.
-func serveDemo(g *grappolo.Graph, workers int, batch bool, clients, requests int, quiet bool,
+// duplicate load, requests that overlap the first run coalesce onto it, and
+// every later request is an exact hit served with zero engine runs.
+func serveDemo(g *grappolo.Graph, workers int, clients, requests int, quiet bool,
 	maxqueue int, deadline time.Duration, degrade, shards, exchange int,
 	cacheOn bool, cachettl time.Duration, cacheBytes int64, delta int) error {
 	if clients < 1 || requests < 1 {
@@ -292,13 +286,6 @@ func serveDemo(g *grappolo.Graph, workers int, batch bool, clients, requests int
 	detect := pool.DetectInto
 	mode := "pool"
 	var backend grappolo.Detecter = pool
-	var batcher *grappolo.Batcher
-	if batch {
-		batcher = grappolo.NewBatcher(pool)
-		backend = batcher
-		detect = batcher.DetectInto
-		mode = "pool+batcher"
-	}
 	if shards > 0 {
 		sharded, err := grappolo.NewSharded(pool,
 			grappolo.WithShards(shards), grappolo.WithExchangeRounds(exchange))
@@ -340,9 +327,9 @@ func serveDemo(g *grappolo.Graph, workers int, batch bool, clients, requests int
 		if degrade > 0 {
 			gopts = append(gopts, grappolo.DegradeAtDepth(degrade))
 		}
-		if batcher != nil {
-			// Admit more requests than engines so duplicates can coalesce
-			// as followers (which consume no engine permit).
+		if cache != nil {
+			// Admit more requests than engines so hits and coalescing
+			// followers (which consume no engine permit) pass through.
 			gopts = append(gopts, grappolo.MaxInFlight(4*pool.Size()))
 		}
 		if guard, err = grappolo.NewGuard(backend, gopts...); err != nil {
@@ -391,22 +378,22 @@ func serveDemo(g *grappolo.Graph, workers int, batch bool, clients, requests int
 		return fmt.Errorf("%d requests failed (first: %v)", failures.Load(), firstErr.Load())
 	}
 	st := pool.Stats()
-	if batcher != nil {
-		st = batcher.Stats()
-	}
 	var gst grappolo.GuardStats
 	if guard != nil {
 		gst = guard.Stats()
 		st = gst.PoolStats
+	}
+	var cst grappolo.CacheStats
+	if cache != nil {
+		cst = cache.Stats()
 	}
 	fmt.Printf("serve (%s): %d requests, %d clients, %d engines: %s (%.1f req/s)\n",
 		mode, requests, clients, pool.Size(),
 		elapsed.Round(time.Millisecond), float64(requests)/elapsed.Seconds())
 	if !quiet {
 		fmt.Printf("  engine runs=%d coalesced=%d queued=%d canceled=%d\n",
-			st.Led, st.Batched, st.Waited, st.Canceled)
+			st.Led, cst.Coalesced, st.Waited, st.Canceled)
 		if cache != nil {
-			cst := cache.Stats()
 			fmt.Printf("  cache: hits=%d misses=%d delta=%d evicted=%d expired=%d rejected=%d entries=%d bytes=%d\n",
 				cst.Hits, cst.Misses, cst.DeltaRouted, cst.Evictions,
 				cst.Expired, cst.Rejected, cst.Entries, cst.Bytes)

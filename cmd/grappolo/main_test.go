@@ -168,21 +168,21 @@ func TestRunServeMode(t *testing.T) {
 
 func TestRunServeModeBatched(t *testing.T) {
 	path := writeTempGraph(t)
-	if err := run([]string{"-file", path, "-serve", "-batch", "-clients", "4", "-requests", "16", "-workers", "1", "-q"}); err != nil {
+	if err := run([]string{"-file", path, "-serve", "-cache", "-clients", "4", "-requests", "16", "-workers", "1", "-q"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestRunBatchRequiresServe(t *testing.T) {
+func TestRunCacheRequiresServe(t *testing.T) {
 	path := writeTempGraph(t)
-	if err := run([]string{"-file", path, "-batch"}); err == nil {
-		t.Fatal("-batch without -serve must be rejected")
+	if err := run([]string{"-file", path, "-cache"}); err == nil {
+		t.Fatal("-cache without -serve must be rejected")
 	}
 }
 
 func TestRunServeModeGuarded(t *testing.T) {
 	path := writeTempGraph(t)
-	if err := run([]string{"-file", path, "-serve", "-batch",
+	if err := run([]string{"-file", path, "-serve", "-cache",
 		"-maxqueue", "8", "-deadline", "30s", "-degrade", "4",
 		"-clients", "4", "-requests", "16", "-workers", "1"}); err != nil {
 		t.Fatal(err)

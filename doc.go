@@ -49,53 +49,84 @@
 // coloring, rebuild) completes — while the per-vertex hot loops stay
 // branch-free.
 //
-// # Request batching: Pool vs Batcher
+// # Serving from cache: coalescing in flight, caching across time
 //
 // A Pool bounds concurrency and reuses engines, but every request runs
 // privately: ten dashboards asking about the same graph cost ten engine
-// runs. A Batcher in front of the pool coalesces them — concurrent Detect
-// calls whose graph is identical share ONE engine run, fanned back out as
-// independent Result copies:
+// runs, and the same ten refreshing a minute later cost ten more. A Cache
+// in front of the pool (or of a Sharded backend) serves each distinct
+// graph once: concurrent identical misses share ONE backend run, fanned
+// back out as independent Result copies, and a TTL + LRU result store
+// keyed by the graph's exact content and the backend's engine options
+// serves later repeats with no run at all:
 //
-//	bat := grappolo.NewBatcher(pool)
-//	res, err := bat.Detect(ctx, g) // duplicates coalesce; result is private
+//	c, err := grappolo.NewCache(pool,
+//		grappolo.CacheTTL(time.Minute),     // serve an entry at most this long
+//		grappolo.CacheBytes(1<<30),         // estimated-resident-bytes budget
+//		grappolo.DeltaEdits(64),            // route small edits incrementally
+//	)
+//	...
+//	res, err := c.Detect(ctx, g) // duplicates coalesce; an exact repeat runs NO engine
 //
-// When coalescing applies: requests are grouped by a structural graph
-// fingerprint (exact vertex/arc counts and weight sum plus a sampled CSR
-// content hash, memoized on the Graph) while they overlap in flight; a
-// request arriving after the shared run sealed starts a new batch. All
-// requests through one Batcher share its pool's options, so only graph
-// identity varies. The sampled fingerprint is only the O(1) first-pass
-// filter: before a request shares a run, its graph's exact full-content
-// hash (Graph.StrongHash, computed once per immutable graph and memoized)
-// must match the batch leader's. A sampled-hash collision therefore costs
-// the batching win — the colliding request runs privately on the pool —
-// never correctness: no request is ever served a result computed for a
-// different graph.
+// Coalescing in flight: the first miss for a graph LEADS a run, which
+// queues for an engine through the pool's FIFO admission (a fair
+// semaphore — no barging, so no request starves behind later arrivals),
+// and concurrent misses for the same content join it as FOLLOWERS, which
+// consume no permit. The leader publishes its result to the store, then
+// copies it out to every follower before it returns. A follower canceled
+// while waiting returns its own ctx.Err() immediately; a canceled queued
+// request passes its turn on without losing a permit; a canceled LEADER
+// never poisons its followers — they retry and one leads a fresh run; and
+// a leader that panics releases its followers with an error matching
+// ErrEngineFault. PoolStats (Pool.Stats) counts engine runs Led, Waited
+// and Canceled, and CacheStats.Coalesced counts followers served by
+// another request's run, so under duplicate load Coalesced/Led is the
+// coalescing win.
 //
-// Fairness and cancellation: pool admission is FIFO (a fair semaphore — no
-// barging, so no request starves behind later arrivals), batch leaders
-// inherit that order, and followers piggyback without consuming permits. A
-// follower canceled while waiting returns its own ctx.Err() immediately; a
-// canceled queued request passes its turn on without losing a permit; and
-// a canceled batch LEADER never poisons its followers — they transparently
-// retry and one becomes the new leader. PoolStats (Pool.Stats /
-// Batcher.Stats) counts runs Led, requests Batched, Waited and Canceled;
-// under duplicate load Batched/Led is the coalescing win. Warm same-shape
-// batched DetectInto stays zero-alloc on the leader path and O(1) per
-// follower (pinned by TestBatcherWarmZeroAllocs; BenchmarkBatcherDetect
-// measures batched vs unbatched duplicate load).
+// Caching across time: an exact repeat — a dashboard refresh, a retry,
+// another tenant uploading the same public dataset — is served
+// bit-identical to the run that populated the entry, deep-copied out so
+// the caller owns it, with zero engine runs and (into a recycled Result)
+// zero allocations (pinned by TestCacheHitZeroAllocs). A CacheBytes budget
+// below any entry's size retains nothing: the Cache then only coalesces,
+// and a warm miss that leads its run allocates nothing either (pinned by
+// TestCacheWarmMissZeroAllocs), while a follower costs O(1).
+// BenchmarkCacheDetect measures the cold/hit/delta tiers, and coalesced
+// against uncoalesced duplicate load.
+//
+// Identity: requests are matched by a structural graph fingerprint (exact
+// vertex/arc counts and weight sum plus a sampled CSR content hash,
+// memoized on the Graph), but the sampled hash is only the O(1) first-pass
+// filter. Requests share a run, and an entry is served, only when the
+// graph's exact full-content hash (Graph.StrongHash, computed once per
+// immutable graph and memoized) agrees too. A sampled collision therefore
+// costs the sharing — the colliding request leads its own run, and the
+// stored entry is refused to it (CacheStats.Rejected) — never correctness:
+// no request is ever served a result computed for a different graph.
+//
+// With DeltaEdits(k), a miss within k edge INSERTIONS (including weight
+// increases) of a cached graph skips the cold run too: the CSR diff is
+// replayed onto an incremental maintainer seeded from the cached
+// membership — the streaming tier applied to re-uploads — and the result is
+// marked Result.Incremental: a valid clustering of the requested graph
+// whose quality tracks incremental Louvain (re-anchored per
+// DeltaRefreshFraction) rather than matching a cold run bit-for-bit.
+// Deletions and rewires always fall through to the backend. A Cache
+// composes under a Guard (NewGuard accepts it as a backend), is safe for
+// concurrent use, and exposes Invalidate/InvalidateAll for callers whose
+// graphs stop describing reality — see Stream.OnApply below.
 //
 // # Serving robustly: deadlines, shedding, degraded mode
 //
-// A Pool (or Batcher) bounds concurrency but not queueing: under sustained
+// A Pool (or Cache) bounds concurrency but not queueing: under sustained
 // overload its FIFO admission queue grows without limit, every request
 // eventually runs at full quality, and an engine-run panic unwinds into
 // whichever caller's goroutine drove the engine. Guard is the resilience
 // tier that turns the stack into something a production service can sit
 // behind:
 //
-//	gd, err := grappolo.NewGuard(bat,
+//	gd, err := grappolo.NewGuard(c,
+//		grappolo.MaxInFlight(4*pool.Size()),      // hits and followers take no engine
 //		grappolo.MaxQueueDepth(32),               // shed past this backlog
 //		grappolo.MaxQueueWait(50*time.Millisecond), // shed slow-queue waiters
 //		grappolo.DetectDeadline(2*time.Second),   // default per-request budget
@@ -137,8 +168,9 @@
 // Fault isolation: an engine run that panics is quarantined twice over —
 // the Pool discards the panicked engine instead of recycling it
 // (PoolStats.Faulted counts these; the freed slot lazily builds a fresh
-// engine) and releases its permit, a Batcher seals the batch so followers
-// get an error matching ErrEngineFault instead of waiting forever, and the
+// engine) and releases its permit, a Cache leader releases its followers
+// with an error matching ErrEngineFault instead of leaving them waiting,
+// and the
 // Guard converts the propagating panic into an *EngineFaultError carrying
 // the panic value. A nil graph is likewise refused up front with
 // ErrNilGraph by every serving layer. GuardStats extends PoolStats with
@@ -185,42 +217,7 @@
 // concurrent sharded traffic. Results are deterministic for a fixed graph
 // and configuration at any worker count.
 //
-// # Serving from cache: repeats and near-repeats across time
-//
-// The Batcher coalesces duplicates that overlap IN FLIGHT; Cache extends
-// the same economics across time. It fronts a Pool, Batcher or Sharded
-// backend with a TTL + LRU result cache keyed by the graph's exact content
-// and the backend's engine options:
-//
-//	c, err := grappolo.NewCache(bat,
-//		grappolo.CacheTTL(time.Minute),     // serve an entry at most this long
-//		grappolo.CacheBytes(1<<30),         // estimated-resident-bytes budget
-//		grappolo.DeltaEdits(64),            // route small edits incrementally
-//	)
-//	...
-//	res, err := c.Detect(ctx, g) // an exact repeat runs NO engine at all
-//
-// An exact repeat — a dashboard refresh, a retry, another tenant uploading
-// the same public dataset — is served bit-identical to the run that
-// populated the entry, deep-copied out so the caller owns it, with zero
-// engine runs and (into a recycled Result) zero allocations (pinned by
-// TestCacheHitZeroAllocs; BenchmarkCacheDetect measures the cold/hit/delta
-// tiers). Lookups use the same sampled fingerprint as the Batcher but every
-// hit and every admission is verified against the exact Graph.StrongHash,
-// so a sampled collision degrades to an uncached run (CacheStats.Rejected),
-// never to serving another graph's membership.
-//
-// With DeltaEdits(k), a miss within k edge INSERTIONS (including weight
-// increases) of a cached graph skips the cold run too: the CSR diff is
-// replayed onto an incremental maintainer seeded from the cached
-// membership — the streaming tier applied to re-uploads — and the result is
-// marked Result.Incremental: a valid clustering of the requested graph
-// whose quality tracks incremental Louvain (re-anchored per
-// DeltaRefreshFraction) rather than matching a cold run bit-for-bit.
-// Deletions and rewires always fall through to the backend. A Cache
-// composes under a Guard (NewGuard accepts it as a backend), is safe for
-// concurrent use, and exposes Invalidate/InvalidateAll for callers whose
-// graphs stop describing reality — see Stream.OnApply below.
+// # Streaming
 //
 // Streaming workloads use NewStream, which maintains communities under
 // live edge insertions with batched incremental updates and pooled full

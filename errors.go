@@ -6,7 +6,7 @@ import (
 )
 
 // ErrNilGraph is returned by every detection entry point (Detector, Pool,
-// Batcher, Guard) handed a nil *Graph. Validating at the boundary turns
+// Sharded, Cache, Guard) handed a nil *Graph. Validating at the boundary turns
 // what used to be a panic deep inside the engine into a typed, checkable
 // request error.
 var ErrNilGraph = errors.New("grappolo: nil graph")
@@ -23,7 +23,7 @@ var ErrOverloaded = errors.New("grappolo: overloaded")
 // ErrEngineFault is the panic-quarantine sentinel: errors.Is reports it
 // for any error produced by recovering an engine-run panic at a serving
 // boundary — the Guard's recovery of a request that panicked, and the
-// error a Batcher fans out to followers whose leader's run panicked. The
+// error a Cache fans out to followers whose leader panicked. The
 // faulted engine itself is quarantined by the Pool (never returned to the
 // idle list); the serving stack stays usable.
 var ErrEngineFault = errors.New("grappolo: engine fault")

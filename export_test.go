@@ -22,16 +22,11 @@ func (p *Pool) QueuedWaiters() int { return p.sem.QueueLen() }
 // AvailablePermits returns the number of free engine permits.
 func (p *Pool) AvailablePermits() int { return p.sem.Available() }
 
-// JoinedFollowers returns the number of followers that have ATTACHED to a
-// batch so far (PoolStats.Batched counts only followers actually served by
-// a shared run, which happens later — tests choreographing a pile-up need
-// the attach-time signal).
-func (b *Batcher) JoinedFollowers() int64 { return b.joins.Load() }
-
-// DivertedFollowers returns how many would-be followers were refused by the
-// strong-hash check (sampled-fingerprint collision with the in-flight
-// leader's graph) and served by a private uncoalesced pool run instead.
-func (b *Batcher) DivertedFollowers() int64 { return b.diverted.Load() }
+// JoinedFollowers returns the number of followers that have ATTACHED to an
+// in-flight run so far (CacheStats.Coalesced counts only followers actually
+// served by another's run, which happens later — tests choreographing a
+// pile-up need the attach-time signal).
+func (c *Cache) JoinedFollowers() int64 { return c.joins.Load() }
 
 // IdleEngines returns the number of engines currently parked in the idle
 // list — the quarantine tests' proof that a panicked engine was dropped

@@ -12,8 +12,8 @@ import (
 )
 
 // Detecter is the serving interface every detection layer implements —
-// Detector, Pool, Batcher and Guard — so the layers compose freely and a
-// caller can hold whichever tier of the stack it was handed.
+// Detector, Pool, Sharded, Cache and Guard — so the layers compose freely
+// and a caller can hold whichever tier of the stack it was handed.
 type Detecter interface {
 	// Detect runs detection on g and returns a fresh Result.
 	Detect(ctx context.Context, g *Graph) (*Result, error)
@@ -22,8 +22,33 @@ type Detecter interface {
 	DetectInto(ctx context.Context, g *Graph, res *Result) (*Result, error)
 }
 
-// Guard wraps a Pool or Batcher with production overload semantics — the
-// resilience tier of the serving stack (Detector → Pool → Batcher →
+// tier is the seam NewCache and NewGuard compose over: a serving tier that
+// names the engine pool it serves from (its capacity, options and
+// engine-side counters). Pool, Sharded and Cache implement it, so a new
+// tier implements enginePool and needs no edits to its neighbours.
+type tier interface {
+	Detecter
+	// enginePool returns the pool the tier serves from, or nil for a
+	// nil receiver.
+	enginePool() *Pool
+}
+
+// poolOf returns the engine pool backend serves from. A backend that is
+// not a tier, or is a nil one, is an error.
+func poolOf(backend Detecter) (*Pool, error) {
+	t, ok := backend.(tier)
+	if !ok {
+		return nil, fmt.Errorf("backend %T does not serve from an engine pool", backend)
+	}
+	pool := t.enginePool()
+	if pool == nil {
+		return nil, fmt.Errorf("nil %T backend", backend)
+	}
+	return pool, nil
+}
+
+// Guard wraps a Pool, Sharded or Cache with production overload semantics
+// — the resilience tier of the serving stack (Detector → Pool → Cache →
 // Guard). Four behaviors, each off until configured:
 //
 //   - Bounded admission (MaxQueueDepth, MaxQueueWait): a request that
@@ -54,13 +79,13 @@ type Detecter interface {
 //     server nor corrupt a recycled engine.
 //
 // A Guard owns its backend's admission: route ALL traffic for the wrapped
-// Pool/Batcher through the Guard, or the queue-state signals (shedding and
+// backend through the Guard, or the queue-state signals (shedding and
 // degradation thresholds) will under-count. A Guard is safe for concurrent
 // use by multiple goroutines.
 type Guard struct {
 	primary  Detecter
-	degraded Detecter // non-nil iff degradation is configured
-	pool     *Pool    // the backend's underlying pool (capacity, options)
+	pool     *Pool // the primary backend's engine pool (capacity, options)
+	degraded *Pool // non-nil iff degradation is configured
 	admit    *par.FairSem
 
 	maxQueue  int           // >= 0 bounds the admission queue; -1 unbounded
@@ -184,11 +209,11 @@ func DegradeProfile(opts ...Option) GuardOption {
 
 // MaxInFlight overrides the Guard's concurrent-admission bound (default:
 // the backend pool's Size). For a plain Pool backend the default is right —
-// one admission per engine. For a BATCHER backend a larger bound (a few
-// multiples of the pool size) lets duplicate requests pass through the
-// Guard and coalesce as followers, which consume no engine; the pool's own
-// FIFO admission still bounds actual engine concurrency. n must be
-// positive.
+// one admission per engine. For a CACHE backend a larger bound (a few
+// multiples of the pool size) lets requests that take no engine — cache
+// hits and followers coalescing onto an identical in-flight miss — pass
+// through the Guard; the pool's own FIFO admission still bounds actual
+// engine concurrency. n must be positive.
 func MaxInFlight(n int) GuardOption {
 	return func(c *guardConfig) error {
 		if n < 1 {
@@ -199,25 +224,17 @@ func MaxInFlight(n int) GuardOption {
 	}
 }
 
-// NewGuard wraps backend — a *Pool, *Batcher, *Sharded or *Cache — in a
-// Guard. With no options the Guard only adds panic quarantine; shedding,
-// deadlines and degradation are enabled by their respective options.
-// Configuration errors (negative bounds, a degrade profile without
+// NewGuard wraps backend — a *Pool, *Sharded or *Cache, or any other tier
+// that serves from an engine pool — in a Guard. With no options the Guard
+// only adds panic quarantine; shedding, deadlines and degradation are
+// enabled by their respective options. Configuration errors (a backend
+// without an engine pool, negative bounds, a degrade profile without
 // DegradeAtDepth, an invalid degraded option combination) are returned,
 // never coerced.
 func NewGuard(backend Detecter, gopts ...GuardOption) (*Guard, error) {
-	var pool *Pool
-	switch b := backend.(type) {
-	case *Pool:
-		pool = b
-	case *Batcher:
-		pool = b.Pool()
-	case *Sharded:
-		pool = b.Pool()
-	case *Cache:
-		pool = b.Pool()
-	default:
-		return nil, fmt.Errorf("grappolo: NewGuard needs a *Pool, *Batcher, *Sharded or *Cache backend, got %T", backend)
+	pool, err := poolOf(backend)
+	if err != nil {
+		return nil, fmt.Errorf("grappolo: NewGuard: %w", err)
 	}
 	c := guardConfig{maxQueue: -1}
 	for _, o := range gopts {
@@ -255,15 +272,7 @@ func NewGuard(backend Detecter, gopts ...GuardOption) (*Guard, error) {
 		if err != nil {
 			return nil, fmt.Errorf("grappolo: invalid degraded profile: %w", err)
 		}
-		dp := newPoolCore(pool.Size(), opts)
-		if _, isBatcher := backend.(*Batcher); isBatcher {
-			// A batcher backend coalesces duplicates; degraded duplicate
-			// bursts — the most duplicate-shaped traffic there is — should
-			// coalesce too.
-			gd.degraded = NewBatcher(dp)
-		} else {
-			gd.degraded = dp
-		}
+		gd.degraded = newPoolCore(pool.Size(), opts)
 	}
 	return gd, nil
 }
@@ -359,7 +368,7 @@ func (gd *Guard) DetectInto(ctx context.Context, g *Graph, res *Result) (*Result
 			defer cancel()
 		}
 	}
-	backend := gd.primary
+	var backend Detecter = gd.primary
 	if degrade {
 		backend = gd.degraded
 	}
@@ -375,7 +384,7 @@ func (gd *Guard) DetectInto(ctx context.Context, g *Graph, res *Result) (*Result
 }
 
 // run drives one backend call under the panic-quarantine boundary: a
-// panicking engine run (or batch lead) is recovered into an
+// panicking engine run (or cache lead) is recovered into an
 // *EngineFaultError instead of unwinding the caller. The pool below has
 // already quarantined the engine and released its permit by the time the
 // panic reaches this frame, so recovery here leaks nothing.
@@ -390,41 +399,24 @@ func (gd *Guard) run(backend Detecter, ctx context.Context, g *Graph, res *Resul
 	return backend.DetectInto(ctx, g, res)
 }
 
-// Stats returns the Guard's cumulative counters: the backend's serving
+// Stats returns the Guard's cumulative counters: the engine pools' serving
 // stats (primary and degraded engine sets summed) plus shed, degraded and
 // recovered counts.
 func (gd *Guard) Stats() GuardStats {
 	s := GuardStats{
+		PoolStats: gd.pool.Stats(),
 		Shed:      gd.shed.Load(),
 		Degraded:  gd.degradedN.Load(),
 		Recovered: gd.recovered.Load(),
 	}
-	s.PoolStats = backendStats(gd.primary)
 	if gd.degraded != nil {
-		d := backendStats(gd.degraded)
+		d := gd.degraded.Stats()
 		s.Led += d.Led
-		s.Batched += d.Batched
 		s.Waited += d.Waited
 		s.Canceled += d.Canceled
 		s.Faulted += d.Faulted
 	}
 	return s
-}
-
-// backendStats reads the PoolStats of either backend shape. A Cache is
-// transparent here — engine-side counters live on whatever it wraps.
-func backendStats(b Detecter) PoolStats {
-	switch b := b.(type) {
-	case *Pool:
-		return b.Stats()
-	case *Batcher:
-		return b.Stats()
-	case *Sharded:
-		return b.Stats()
-	case *Cache:
-		return backendStats(b.backend)
-	}
-	return PoolStats{}
 }
 
 // Queued returns the number of requests currently waiting for admission —

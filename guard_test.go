@@ -44,7 +44,7 @@ func detectRecovering(d grappolo.Detecter, ctx context.Context, g *grappolo.Grap
 
 // TestNilGraphTyped pins the typed nil-graph contract across every serving
 // layer: a nil *Graph is refused up front with ErrNilGraph, before any
-// permit, batch slot or admission slot is consumed.
+// permit, in-flight run or admission slot is consumed.
 func TestNilGraphTyped(t *testing.T) {
 	ctx := context.Background()
 	d, err := grappolo.New()
@@ -59,13 +59,18 @@ func TestNilGraphTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sh, err := grappolo.NewSharded(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
 	layers := []struct {
 		tag string
 		d   grappolo.Detecter
 	}{
 		{"Detector", d},
 		{"Pool", pool},
-		{"Batcher", grappolo.NewBatcher(pool)},
+		{"Sharded", sh},
+		{"Cache", newCache(t, pool)},
 		{"Guard", gd},
 	}
 	for _, l := range layers {
@@ -135,22 +140,22 @@ func TestPoolQuarantinesPanickedEngine(t *testing.T) {
 	}
 }
 
-// TestBatcherLeaderPanicSealsBatch pins the leader-panic seal path: when
-// the leader's engine run panics, its followers are released with an error
-// matching ErrEngineFault (not left waiting forever), the panic still
-// propagates through the leader's own goroutine, and the pool underneath
-// neither leaks the permit nor recycles the poisoned engine.
-func TestBatcherLeaderPanicSealsBatch(t *testing.T) {
+// TestCacheLeaderPanicReleasesFollowers pins the leader-panic seal path:
+// when a Cache leader's engine run panics, its followers are released with
+// an error matching ErrEngineFault (not left waiting forever), the panic
+// still propagates through the leader's own goroutine, and the pool
+// underneath neither leaks the permit nor recycles the poisoned engine.
+func TestCacheLeaderPanicReleasesFollowers(t *testing.T) {
 	ctx := context.Background()
 	pool, err := grappolo.NewPool(1, grappolo.Workers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := grappolo.NewBatcher(pool)
+	c := newCache(t, pool)
 	bad := badGraph(t)
 
 	// Park the engine permit so the leader blocks in pool admission,
-	// giving the follower a deterministic window to join the batch.
+	// giving the follower a deterministic window to join the run.
 	if err := pool.HoldEnginePermit(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +165,14 @@ func TestBatcherLeaderPanicSealsBatch(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, _, leaderPanicked = detectRecovering(b, ctx, bad)
+		_, _, leaderPanicked = detectRecovering(c, ctx, bad)
 	}()
-	waitFor(t, "leader to claim the batch", func() bool { return pool.QueuedWaiters() == 1 })
+	waitFor(t, "leader to claim the run", func() bool { return pool.QueuedWaiters() == 1 })
 	go func() {
 		defer wg.Done()
-		_, followerErr, _ = detectRecovering(b, ctx, bad)
+		_, followerErr, _ = detectRecovering(c, ctx, bad)
 	}()
-	waitFor(t, "follower to join", func() bool { return b.JoinedFollowers() == 1 })
+	waitFor(t, "follower to join", func() bool { return c.JoinedFollowers() == 1 })
 	pool.ReleaseEnginePermit()
 	wg.Wait()
 
@@ -184,13 +189,13 @@ func TestBatcherLeaderPanicSealsBatch(t *testing.T) {
 		t.Errorf("panicked engine was recycled: %d idle, want 0", idle)
 	}
 
-	// The batcher must remain serviceable after the seal.
+	// The cache must remain serviceable after the seal.
 	good := cliqueRing(t, 4, 5)
 	want, err := grappolo.Detect(ctx, good, grappolo.Workers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := b.Detect(ctx, good)
+	res, err := c.Detect(ctx, good)
 	if err != nil {
 		t.Fatalf("detect after leader panic: %v", err)
 	}
@@ -470,18 +475,18 @@ func TestGuardDegradesUnderPressure(t *testing.T) {
 	}
 }
 
-// TestGuardOverBatcherCoalesces pins the MaxInFlight interplay: with an
-// admission bound wider than the pool, duplicate requests pass through the
-// Guard concurrently and coalesce in the Batcher — followers consume no
+// TestGuardOverCacheCoalesces pins the MaxInFlight interplay: with an
+// admission bound wider than the pool, duplicate misses pass through the
+// Guard concurrently and coalesce in the Cache — followers consume no
 // engine — and every caller still gets the bit-identical result.
-func TestGuardOverBatcherCoalesces(t *testing.T) {
+func TestGuardOverCacheCoalesces(t *testing.T) {
 	ctx := context.Background()
 	pool, err := grappolo.NewPool(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := grappolo.NewBatcher(pool)
-	gd, err := grappolo.NewGuard(b, grappolo.MaxInFlight(4))
+	c := newCache(t, pool)
+	gd, err := grappolo.NewGuard(c, grappolo.MaxInFlight(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +511,7 @@ func TestGuardOverBatcherCoalesces(t *testing.T) {
 			results[i], errs[i] = gd.Detect(ctx, g)
 		}()
 	}
-	waitFor(t, "duplicates to coalesce", func() bool { return b.JoinedFollowers() == 3 })
+	waitFor(t, "duplicates to coalesce", func() bool { return c.JoinedFollowers() == 3 })
 	pool.ReleaseEnginePermit()
 	wg.Wait()
 
@@ -516,9 +521,8 @@ func TestGuardOverBatcherCoalesces(t *testing.T) {
 		}
 		mustMatch(t, "coalesced", results[i], want)
 	}
-	s := gd.Stats()
-	if s.Led != 1 || s.Batched != 3 {
-		t.Errorf("Stats: Led=%d Batched=%d, want 1 leader and 3 batched", s.Led, s.Batched)
+	if led, coalesced := gd.Stats().Led, c.Stats().Coalesced; led != 1 || coalesced != 3 {
+		t.Errorf("Stats: Led=%d Coalesced=%d, want 1 leader and 3 coalesced", led, coalesced)
 	}
 }
 
@@ -556,5 +560,10 @@ func TestGuardOptionValidation(t *testing.T) {
 	}
 	if _, err := grappolo.NewGuard(d); err == nil {
 		t.Error("NewGuard over a bare Detector succeeded, want error (no pool to guard)")
+	}
+	for _, nilBackend := range []grappolo.Detecter{nil, (*grappolo.Pool)(nil), (*grappolo.Sharded)(nil)} {
+		if _, err := grappolo.NewGuard(nilBackend); err == nil {
+			t.Errorf("NewGuard over nil backend %T succeeded, want error", nilBackend)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package faults provides seeded, deterministic fault injection for the
 // serving stack's chaos tests: compiled-in probes at a fixed set of sites
 // (engine run start, engine cancellation barriers, pool request serving,
-// batch leading) that can panic, sleep, or force a cooperative
+// cache run leading) that can panic, sleep, or force a cooperative
 // cancellation according to an armed Plan.
 //
 // The probes are REAL code only under the `faultinject` build tag; the
@@ -36,9 +36,9 @@ const (
 	// checked out, before the run — a panic here exercises the pool's
 	// quarantine and permit-release paths without involving the engine.
 	PoolServe
-	// BatchLead fires inside a Batcher leader before it drives the pool —
-	// a panic here exercises the batch seal-on-panic fan-out.
-	BatchLead
+	// CacheLead fires inside a Cache leader before it drives the backend —
+	// a panic here exercises the seal-on-panic fan-out to its followers.
+	CacheLead
 
 	// NumPoints bounds the Point space for plan arrays.
 	NumPoints
@@ -53,8 +53,8 @@ func (p Point) String() string {
 		return "EngineBarrier"
 	case PoolServe:
 		return "PoolServe"
-	case BatchLead:
-		return "BatchLead"
+	case CacheLead:
+		return "CacheLead"
 	default:
 		return fmt.Sprintf("Point(%d)", uint8(p))
 	}

@@ -28,7 +28,7 @@ func TestPointNames(t *testing.T) {
 		EngineRun:     "EngineRun",
 		EngineBarrier: "EngineBarrier",
 		PoolServe:     "PoolServe",
-		BatchLead:     "BatchLead",
+		CacheLead:     "CacheLead",
 	} {
 		if got := p.String(); got != want {
 			t.Errorf("Point(%d).String() = %q, want %q", p, got, want)

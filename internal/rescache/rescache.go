@@ -62,8 +62,13 @@ type Options struct {
 // Stats are cumulative counters plus a point-in-time size snapshot.
 type Stats struct {
 	// Hits counts exact serves: sampled key matched AND the strong hash
-	// confirmed. Misses counts everything else (including rejections).
+	// confirmed. Misses counts everything else (including rejections), so
+	// Hits + Misses is the number of lookups.
 	Hits, Misses int64
+	// Coalesced counts misses served by joining a concurrent identical
+	// miss's run instead of resolving their own. The Store never coalesces;
+	// the serving tier that does (grappolo.Cache) fills it in.
+	Coalesced int64
 	// DeltaRouted counts misses served by the delta tier instead of a cold
 	// run.
 	DeltaRouted int64
@@ -188,6 +193,12 @@ func (s *Store) Put(key Key, strong uint64, g *graph.Graph, res *core.Result, ma
 		s.remove(s.tail)
 	}
 	return true
+}
+
+// Admits reports whether an entry for g and res fits the byte budget, so a
+// caller can skip building the private copy Put would refuse.
+func (s *Store) Admits(g *graph.Graph, res *core.Result) bool {
+	return s.opts.MaxBytes <= 0 || EstimateBytes(g, res, false) <= s.opts.MaxBytes
 }
 
 // DeltaDetect attempts to serve a cache MISS from the delta tier: if some

@@ -35,8 +35,8 @@ import (
 //
 // A Pool is safe for concurrent use by multiple goroutines. Requests that
 // are duplicates of each other still run once per request; to coalesce
-// concurrent detections on the SAME graph into one engine run, put a
-// Batcher in front of the pool.
+// concurrent detections on the SAME graph into one engine run (and serve
+// later repeats from memory), put a Cache in front of the pool.
 type Pool struct {
 	opts core.Options
 	sem  *par.FairSem // one permit per engine; Cap() == Size()
@@ -50,22 +50,17 @@ type Pool struct {
 }
 
 // PoolStats are cumulative serving counters, readable at any time from any
-// goroutine. Pool.Stats fills the admission-side counters; Batcher.Stats
-// additionally fills Batched (a Pool on its own never coalesces).
+// goroutine.
 type PoolStats struct {
-	// Led counts engine runs started on behalf of requests. Through a
-	// Batcher this is the number of batch leaders — the acceptance metric
-	// for coalescing (N duplicate requests, 1 run).
+	// Led counts engine runs started on behalf of requests. Behind a Cache
+	// only leaders reach the pool — the acceptance metric for coalescing
+	// (N duplicate requests, 1 run).
 	Led int64
-	// Batched counts requests served by joining an in-flight identical
-	// run instead of starting their own (always 0 for a bare Pool).
-	Batched int64
 	// Waited counts requests that found no free engine and had to queue —
 	// the overload-pressure signal.
 	Waited int64
-	// Canceled counts requests that returned early with their context's
-	// error, whether canceled while queued, while following a batch, or
-	// mid-run.
+	// Canceled counts engine requests that returned early with their
+	// context's error, whether canceled while queued or mid-run.
 	Canceled int64
 	// Faulted counts engines quarantined because their run panicked: a
 	// panicking engine's scratch is suspect, so it is dropped instead of
@@ -109,6 +104,9 @@ func newPoolCore(size int, o core.Options) *Pool {
 
 // Size returns the maximum number of engines (and concurrent detections).
 func (p *Pool) Size() int { return p.sem.Cap() }
+
+// enginePool implements tier: a Pool serves from itself.
+func (p *Pool) enginePool() *Pool { return p }
 
 // Stats returns a snapshot of the pool's cumulative serving counters.
 func (p *Pool) Stats() PoolStats {

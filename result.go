@@ -12,7 +12,7 @@ import "grappolo/internal/core"
 // served by a Guard's degraded fast profile, and Incremental marks one
 // produced by a Cache routing an edge delta onto the incremental
 // maintainer instead of a cold engine run. Both are always false on
-// results from a Detector, Pool, Batcher or Sharded directly.
+// results from a Detector, Pool or Sharded directly.
 type Result = core.Result
 
 // PhaseStats traces one phase of a run: convergence trajectory, per-step

@@ -126,9 +126,13 @@ func NewSharded(pool *Pool, sopts ...ShardOption) (*Sharded, error) {
 	}, nil
 }
 
-// Pool returns the wrapped engine pool (the Guard hooks its queue-pressure
-// signals here).
-func (s *Sharded) Pool() *Pool { return s.pool }
+// enginePool implements tier: a Sharded serves from the wrapped pool.
+func (s *Sharded) enginePool() *Pool {
+	if s == nil {
+		return nil
+	}
+	return s.pool
+}
 
 // Stats returns the wrapped pool's cumulative counters. Led counts engine
 // checkouts, so one sharded detection contributes one run per shard sweep
@@ -168,6 +172,7 @@ func (s *Sharded) DetectInto(ctx context.Context, g *Graph, res *Result) (*Resul
 	res.Timing = core.Breakdown{}
 	res.Levels = nil
 	res.Degraded = false
+	res.Incremental = false
 	return res, nil
 }
 

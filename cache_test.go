@@ -325,7 +325,11 @@ func TestCacheDeltaRouting(t *testing.T) {
 	}
 	// And the reported modularity must actually score the returned
 	// membership on the variant graph.
-	if scored := grappolo.Modularity(variant, res.Membership, 1, 1); !(math.Abs(scored-res.Modularity) <= 1e-9) {
+	scored, err := grappolo.Modularity(variant, res.Membership, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(math.Abs(scored-res.Modularity) <= 1e-9) {
 		t.Errorf("reported Q=%v but membership scores %v on the variant", res.Modularity, scored)
 	}
 

@@ -37,9 +37,10 @@ type suite struct {
 }
 
 // defaultSuites cover the sweep/rebuild kernels (the paper's Fig. 8 hot
-// path) and the serving tiers that funnel into them.
+// path), one whole uncolored phase (sweeps plus scoring), and the serving
+// tiers that funnel into them.
 var defaultSuites = []suite{
-	{Pkg: "./internal/core", Bench: "^(BenchmarkDecideSweep|BenchmarkSweepUncolored|BenchmarkSweepColored|BenchmarkSweepAsyncPLM|BenchmarkRebuildParallel)$", Benchtime: "30x"},
+	{Pkg: "./internal/core", Bench: "^(BenchmarkDecideSweep|BenchmarkSweepUncolored|BenchmarkPhaseUncolored|BenchmarkSweepColored|BenchmarkSweepAsyncPLM|BenchmarkRebuildParallel)$", Benchtime: "30x"},
 	{Pkg: ".", Bench: "^(BenchmarkPoolDetect|BenchmarkShardedDetect|BenchmarkCacheDetect)$", Benchtime: "3x"},
 }
 

@@ -43,6 +43,28 @@ func (e *EngineFaultError) Error() string {
 // Is matches the ErrEngineFault sentinel.
 func (e *EngineFaultError) Is(target error) bool { return target == ErrEngineFault }
 
+// ErrInvalidInput is matched (errors.Is) by the error Modularity returns for
+// an argument it refuses: a membership that does not give each of the
+// graph's vertices one label in [0, g.N()), or a resolution that is not a
+// finite number. The concrete value is an *InputError naming the argument.
+// A nil graph is reported as ErrNilGraph instead.
+var ErrInvalidInput = errors.New("grappolo: invalid input")
+
+// InputError reports an argument Modularity refuses, and why. It matches
+// ErrInvalidInput under errors.Is.
+type InputError struct {
+	// Arg names the argument, e.g. "membership" or "gamma".
+	Arg string
+	// Reason says what is wrong with it.
+	Reason string
+}
+
+// Error describes the refused argument.
+func (e *InputError) Error() string { return "grappolo: invalid " + e.Arg + ": " + e.Reason }
+
+// Is matches the ErrInvalidInput sentinel.
+func (e *InputError) Is(target error) bool { return target == ErrInvalidInput }
+
 // overloadError is the concrete shed error: it matches ErrOverloaded and
 // names which admission bound was exceeded.
 type overloadError struct{ reason string }

@@ -61,6 +61,27 @@ func BenchmarkSweepUncolored(b *testing.B) {
 	}
 }
 
+// BenchmarkPhaseUncolored times one full uncolored first phase from
+// singletons: every sweep and the scoring that ends each iteration, until
+// the gain falls below the default threshold. The channel mesh spends many
+// low-gain iterations; RGG converges in a few dozen.
+func BenchmarkPhaseUncolored(b *testing.B) {
+	for _, in := range []generate.Input{generate.Channel, generate.RGG} {
+		b.Run(string(in), func(b *testing.B) {
+			g := generate.MustGenerate(in, generate.ScaleFromEnv(), 0, 0)
+			o := Options{}.Defaults()
+			eng := NewEngine(o)
+			var stats PhaseStats
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, stats, _, _ = eng.runPhase(g, o.FinalThreshold, nil, false, nil, stats.Modularity)
+			}
+			b.ReportMetric(float64(g.N()), "vertices")
+			b.ReportMetric(float64(stats.Iterations), "iters")
+		})
+	}
+}
+
 func BenchmarkSweepColored(b *testing.B) {
 	g := generate.MustGenerate(generate.RGG, generate.Medium, 0, 0)
 	cs := coloring.Parallel(g, 0)

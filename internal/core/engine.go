@@ -292,34 +292,12 @@ func (e *Engine) runPhase(g *graph.Graph, threshold float64, colorSets *coloring
 	st.arcEvenSets = arcEven
 	st.ctx, st.cancel = e.runCtx, &e.cancel
 	stats := PhaseStats{VertexCount: g.N(), Modularity: modBuf[:0]}
-	prevQ := st.score(workers)
-	for iter := 0; opts.MaxIterations == 0 || iter < opts.MaxIterations; iter++ {
-		if st.stop() {
-			st.ctx = nil
-			return nil, stats, prevQ, true
-		}
-		switch {
-		case colorSets != nil:
-			st.sweepColored(colorSets.Sets, workers)
-		case opts.Async:
-			st.sweepAsync(workers)
-		default:
-			st.sweepUncolored(workers)
-		}
-		q := st.score(workers)
-		stats.Iterations++
-		stats.Modularity = append(stats.Modularity, q)
-		if q-prevQ < threshold {
-			prevQ = q
-			break
-		}
-		prevQ = q
-	}
-	if st.stop() {
-		st.ctx = nil
-		return nil, stats, prevQ, true
-	}
+	iters, q, aborted := e.iterate(colorSets, opts.Async, threshold, &stats.Modularity)
 	st.ctx = nil
+	stats.Iterations = iters
+	if aborted {
+		return nil, stats, q, true
+	}
 	var dense []int32
 	if opts.SerialRenumber {
 		dense = renumberSerial(st.curr)
@@ -331,7 +309,68 @@ func (e *Engine) runPhase(g *graph.Graph, threshold float64, colorSets *coloring
 		renumberParallelInto(out, occ, st.curr, workers)
 		dense = out
 	}
-	return dense, stats, prevQ, false
+	return dense, stats, q, false
+}
+
+// iterate runs the local-move iterations of one phase (Algorithm 1) from the
+// assignment in the phase state's curr, until an iteration gains less than
+// threshold or MaxIterations iterations ran. It appends each iteration's
+// score to trace when trace is non-nil, and returns the iteration count, the
+// final score and whether the run was canceled. A non-nil cs selects colored
+// sweeps, async (with cs nil) live-state sweeps, and otherwise the sweeps are
+// uncolored snapshot sweeps.
+//
+// A snapshot phase scores each state in the sweep that reads it (see
+// sweepUncolored): sweep k+1 scores state k. Its first sweep therefore
+// scores the starting assignment, and its last sweep — the one that finds
+// the gain below threshold, or the one after MaxIterations — is
+// speculative: curr ← prev undoes its moves. Iteration counts, score traces
+// and memberships are those of scoring each state right after the sweep
+// that made it; the phase pays one extra sweep instead of a scoring pass
+// over every arc per iteration.
+func (e *Engine) iterate(cs *coloring.Coloring, async bool, threshold float64, trace *[]float64) (int, float64, bool) {
+	st := &e.st
+	workers := e.opts.Workers
+	maxIter := e.opts.MaxIterations
+	snapshot := cs == nil && !async
+	var q float64
+	if snapshot {
+		st.sweepUncolored(workers)
+		q = st.sweptScore(workers)
+	} else {
+		q = st.score(workers)
+	}
+	iters := 0
+	for maxIter == 0 || iters < maxIter {
+		if st.stop() {
+			return iters, q, true
+		}
+		var next float64
+		switch {
+		case cs != nil:
+			st.sweepColored(cs.Sets, workers)
+			next = st.score(workers)
+		case async:
+			st.sweepAsync(workers)
+			next = st.score(workers)
+		default:
+			st.sweepUncolored(workers)
+			next = st.sweptScore(workers)
+		}
+		iters++
+		if trace != nil {
+			*trace = append(*trace, next)
+		}
+		gain := next - q
+		q = next
+		if gain < threshold {
+			break
+		}
+	}
+	if snapshot {
+		copy(st.curr, st.prev) // undo the speculative sweep
+	}
+	return iters, q, st.stop()
 }
 
 // RunInto is Run recycling a previous Result: res's membership, phase, trace

@@ -60,6 +60,11 @@ type phaseState struct {
 	// CPM (node-size) scoring kernels, zeroed per use.
 	aggF []float64
 	aggI []int64
+	// within[i] is e_{i→C(i)} under prev, self-loop included: what vertex
+	// i contributes to the within-community sum of Eq. (3). sweepUncolored
+	// records it for every vertex so sweptScore can score prev without a
+	// second pass over the arcs.
+	within []float64
 	// transient loop-body inputs (set immediately before the loops that read
 	// them; carried here so the captureless bodies reach them via the state
 	// pointer).
@@ -212,20 +217,30 @@ func (st *phaseState) decide(i int, membership []int32, acc *par.SparseAccum, at
 	case atomicAgg:
 		return st.decideLive(i, membership, acc)
 	default:
-		return st.decideSnap(i, membership, acc)
+		next, _ := st.decideSnap(i, membership, acc)
+		return next
 	}
 }
 
 // decideSnap is decide for uncolored snapshot sweeps: plain membership and
-// aggregate reads (no other vertex mutates them during the sweep).
+// aggregate reads (no other vertex mutates them during the sweep). It also
+// returns ownWeight(i, membership) at almost no cost: after the gather, the
+// accumulator's slot for C(i) holds e_{i→C(i)\{i}}, built by the same adds
+// in the same arc order from the same 0 as ownWeight's sum, so for a row
+// without a self-loop it IS that sum, bit for bit. A row with a self-loop
+// is summed again in arc order.
 //
 //grappolo:hotpath
-func (st *phaseState) decideSnap(i int, membership []int32, acc *par.SparseAccum) int32 {
-	ci := st.accumSnap(i, membership, acc)
-	if st.obj == ObjCPM {
-		return st.bestCPMPlain(i, ci, acc)
+func (st *phaseState) decideSnap(i int, membership []int32, acc *par.SparseAccum) (int32, float64) {
+	ci, loop := st.accumSnap(i, membership, acc)
+	own := acc.Val(ci)
+	if loop {
+		own = st.ownWeight(i, membership)
 	}
-	return st.bestModPlain(i, ci, acc)
+	if st.obj == ObjCPM {
+		return st.bestCPMPlain(i, ci, acc), own
+	}
+	return st.bestModPlain(i, ci, acc), own
 }
 
 // decideLive is decide for colored sweeps: memberships are stable (no two
@@ -234,7 +249,7 @@ func (st *phaseState) decideSnap(i int, membership []int32, acc *par.SparseAccum
 //
 //grappolo:hotpath
 func (st *phaseState) decideLive(i int, membership []int32, acc *par.SparseAccum) int32 {
-	ci := st.accumSnap(i, membership, acc)
+	ci, _ := st.accumSnap(i, membership, acc)
 	if st.obj == ObjCPM {
 		return st.bestCPMAtomic(i, ci, acc)
 	}
@@ -288,26 +303,44 @@ func (st *phaseState) prefetchRow(i int, membership []int32) {
 }
 
 // accumSnap gathers e_{i→C} for every neighboring community of i with plain
-// membership reads, and returns i's own community. The accumulator's
-// first-touch key order equals the arc order, pinning ci at keys[0]
-// (e_{i→C(i)\{i}} may be 0), which is what keeps the min-label tie-breaks
-// bit-stable. This flat accumulation replaced the paper's per-vertex STL map
-// (§5.5): one array write per arc, O(1) reset, zero allocations in steady
-// state.
+// membership reads, and returns i's own community and whether i's row has a
+// self-loop. The accumulator's first-touch key order equals the arc order,
+// pinning ci at keys[0] (e_{i→C(i)\{i}} may be 0), which is what keeps the
+// min-label tie-breaks bit-stable. This flat accumulation replaced the
+// paper's per-vertex STL map (§5.5): one array write per arc, O(1) reset,
+// zero allocations in steady state.
 //
 //grappolo:hotpath
-func (st *phaseState) accumSnap(i int, membership []int32, acc *par.SparseAccum) int32 {
-	ci := membership[i]
+func (st *phaseState) accumSnap(i int, membership []int32, acc *par.SparseAccum) (ci int32, loop bool) {
+	ci = membership[i]
 	nbr, wts := st.g.Neighbors(i)
 	acc.Reset()
 	acc.Ensure(ci)
 	for t, j := range nbr {
 		if int(j) == i {
-			continue // self-loop stays with i under any move
+			loop = true // self-loop stays with i under any move
+			continue
 		}
 		acc.Add(membership[j], wts[t])
 	}
-	return ci
+	return ci, loop
+}
+
+// ownWeight returns e_{i→C(i)} under membership: the weight of i's arcs into
+// its own community, self-loop included, summed in arc order. It is vertex
+// i's term of the within-community sum of Eq. (3) (and of CPM's within2).
+//
+//grappolo:hotpath
+func (st *phaseState) ownWeight(i int, membership []int32) float64 {
+	ci := membership[i]
+	nbr, wts := st.g.Neighbors(i)
+	s := 0.0
+	for t, j := range nbr {
+		if membership[j] == ci {
+			s += wts[t]
+		}
+	}
+	return s
 }
 
 // accumAsync is accumSnap with atomic membership loads (async sweeps move
@@ -496,16 +529,29 @@ func (st *phaseState) applyMove(i int, old, next int32) {
 }
 
 // sweepUncolored performs one full parallel iteration without coloring:
-// every vertex decides from the previous iteration's snapshot (no locks,
-// deterministic for a fixed input regardless of worker count). Chunks are
-// arc-balanced over the CSR offsets so a few hub vertices cannot serialize
-// the sweep on skewed inputs, and each worker reuses its pooled accumulator.
+// every vertex decides from the previous iteration's snapshot, with no
+// locks. Chunks are arc-balanced over the CSR offsets so a few hub vertices
+// cannot serialize the sweep on skewed inputs, and each worker reuses its
+// pooled accumulator.
+//
+// Decisions read the snapshot and the a_C that refreshAggregates rebuilds
+// from it. With integer edge weights, or one worker, a_C is exact and the
+// sweep's outcome is the same for any worker count. With non-integer
+// weights and several workers, the refresh's atomic float adds land in
+// scheduling order, so a_C's low bits — and through them Q's low bits and,
+// where two gains nearly tie, a decision — can vary from run to run.
+//
+// The sweep also scores the snapshot it reads: it records within[i] =
+// ownWeight(i, prev) for every vertex (see decideSnap), so sweptScore can
+// score prev by an O(n) reduction instead of a second pass over the arcs.
 func (st *phaseState) sweepUncolored(workers int) {
+	n := st.g.N()
 	copy(st.prev, st.curr)
+	st.within = par.Resize(st.within, n)
 	st.refreshAggregates(st.prev, workers)
 	// The arc prefix is truncated to the movable range: a pinned suffix
-	// (sweepOwn < n, see Engine.SweepSeeded) is simply never visited, so the
-	// hot loop carries no per-vertex pin check at all.
+	// (sweepOwn < n, see Engine.SweepSeeded) is never decided, so the hot
+	// loop carries no per-vertex pin check at all.
 	par.ForChunkPrefixCtx(st, st.g.ArcOffsets()[:st.sweepOwn+1], workers, func(st *phaseState, w, lo, hi int) {
 		if st.stop() { // per-chunk cancellation check; results are discarded
 			return
@@ -515,7 +561,13 @@ func (st *phaseState) sweepUncolored(workers int) {
 			if st.pref && i+1 < hi {
 				st.prefetchRow(i+1, st.prev) // hints land while i decides
 			}
-			st.curr[i] = st.decideSnap(i, st.prev, acc)
+			st.curr[i], st.within[i] = st.decideSnap(i, st.prev, acc)
+		}
+	})
+	// Pinned vertices still count in the snapshot's score.
+	par.ForChunkCtx(st, n-st.sweepOwn, workers, 0, func(st *phaseState, lo, hi int) {
+		for i := st.sweepOwn + lo; i < st.sweepOwn+hi; i++ {
+			st.within[i] = st.ownWeight(i, st.prev)
 		}
 	})
 }
@@ -692,6 +744,43 @@ func (st *phaseState) score(workers int) float64 {
 	return st.modularity(workers)
 }
 
+// sweptScore is score for prev, the snapshot the last sweepUncolored read,
+// computed from what that sweep left behind: the within values it recorded
+// and the aggregates it rebuilt from prev. These are the per-vertex and
+// per-community terms modularity and cpmScore compute from the same
+// assignment, reduced over the same SumFloat64Ctx partition, so the result
+// has the bits score gives prev whenever a_C does (see sweepUncolored).
+func (st *phaseState) sweptScore(workers int) float64 {
+	n := st.g.N()
+	if st.obj == ObjCPM {
+		if n == 0 || st.m == 0 {
+			return 0
+		}
+		within2 := par.SumFloat64Ctx(st, n, workers, sweptWithin)
+		penalty := par.SumFloat64Ctx(st, n, workers, func(st *phaseState, c int) float64 {
+			s := float64(st.commNS[c])
+			return s * (s - 1) / 2
+		})
+		return (within2/2 - st.cpmGamma*penalty) / st.m
+	}
+	if n == 0 || st.m2 == 0 {
+		return 0
+	}
+	within := par.SumFloat64Ctx(st, n, workers, sweptWithin)
+	null := par.SumFloat64Ctx(st, n, workers, func(st *phaseState, c int) float64 {
+		f := st.commDeg[c] / st.m2
+		return f * f
+	})
+	return within/st.m2 - st.gamma*null
+}
+
+// sweptWithin is vertex i's within-community term under prev, as the last
+// sweep recorded it.
+func sweptWithin(st *phaseState, i int) float64 { return st.within[i] }
+
+// currWithin is vertex i's within-community term under curr.
+func currWithin(st *phaseState, i int) float64 { return st.ownWeight(i, st.curr) }
+
 // cpmScore computes H/m = (w_in − γ·Σ_C binom(ns_C,2)) / m in parallel,
 // with w_in counted by the coarsening-invariant within2/2 convention.
 func (st *phaseState) cpmScore(workers int) float64 {
@@ -700,17 +789,7 @@ func (st *phaseState) cpmScore(workers int) float64 {
 	if n == 0 || st.m == 0 {
 		return 0
 	}
-	within2 := par.SumFloat64Ctx(st, n, workers, func(st *phaseState, i int) float64 {
-		ci := st.curr[i]
-		nbr, wts := st.g.Neighbors(i)
-		s := 0.0
-		for t, j := range nbr {
-			if int(j) == i || st.curr[j] == ci {
-				s += wts[t]
-			}
-		}
-		return s
-	})
+	within2 := par.SumFloat64Ctx(st, n, workers, currWithin)
 	ns := par.Resize(st.aggI, n)
 	st.aggI = ns
 	par.ForChunkCtx(st, n, workers, 0, func(st *phaseState, lo, hi int) {
@@ -738,17 +817,7 @@ func (st *phaseState) modularity(workers int) float64 {
 	if n == 0 || m2 == 0 {
 		return 0
 	}
-	within := par.SumFloat64Ctx(st, n, workers, func(st *phaseState, i int) float64 {
-		ci := st.curr[i]
-		nbr, wts := st.g.Neighbors(i)
-		s := 0.0
-		for t, j := range nbr {
-			if st.curr[j] == ci {
-				s += wts[t]
-			}
-		}
-		return s
-	})
+	within := par.SumFloat64Ctx(st, n, workers, currWithin)
 	// a_C from curr (into the pooled, zeroed buffer), then Σ (a_C / 2m)².
 	deg := par.Resize(st.aggF, n)
 	st.aggF = deg

@@ -18,13 +18,17 @@ import (
 // re-seeds from the latest cross-shard labels and sweeps again.
 //
 // Sweeps are always uncolored snapshot sweeps regardless of the engine's
-// coloring configuration, so the outcome is deterministic for any worker
-// count; iteration stops when the modularity gain of a sweep falls below
-// the engine's FinalThreshold (or MaxIterations is reached). Labels in seed
-// must lie in [0, g.N()); the final membership — drawn from seed's label
-// set, pinned entries unchanged — is written into out (length g.N()).
-// Returns the iteration count and the final modularity of the assignment on
-// g. Only the modularity objective is supported.
+// coloring configuration, iterated and scored as an Engine phase is (see
+// Engine.iterate); iteration stops when the modularity gain of a sweep falls
+// below the engine's FinalThreshold (or MaxIterations is reached). The
+// outcome is the same for any worker count when edge weights are integers,
+// and at Workers 1 for any weights; with non-integer weights and several
+// workers the final modularity's low bits can vary from run to run (see
+// sweepUncolored). Labels in seed must lie in [0, g.N()); the final
+// membership — drawn from seed's label set, pinned entries unchanged — is
+// written into out (length g.N()). Returns the iteration count and the
+// final modularity of the assignment on g. Only the modularity objective is
+// supported.
 //
 // The sweep shares the engine's pooled phase scratch: a warmed engine
 // re-sweeping a same-shaped graph allocates nothing. Like Run, SweepSeeded
@@ -61,25 +65,10 @@ func (e *Engine) SweepSeeded(ctx context.Context, g *graph.Graph, seed []int32, 
 	st.ctx, st.cancel = e.runCtx, &e.cancel
 	defer func() { st.ctx = nil }()
 
-	threshold := e.opts.FinalThreshold
-	prevQ := st.score(workers)
-	iters := 0
-	for iter := 0; e.opts.MaxIterations == 0 || iter < e.opts.MaxIterations; iter++ {
-		if st.stop() {
-			return iters, prevQ, cancelErr(ctx)
-		}
-		st.sweepUncolored(workers)
-		q := st.score(workers)
-		iters++
-		if q-prevQ < threshold {
-			prevQ = q
-			break
-		}
-		prevQ = q
-	}
-	if st.stop() {
-		return iters, prevQ, cancelErr(ctx)
+	iters, q, aborted := e.iterate(nil, false, e.opts.FinalThreshold, nil)
+	if aborted {
+		return iters, q, cancelErr(ctx)
 	}
 	copy(out, st.curr)
-	return iters, prevQ, nil
+	return iters, q, nil
 }

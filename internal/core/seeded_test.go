@@ -40,7 +40,9 @@ func TestSweepSeededMatchesPhaseOnSingletons(t *testing.T) {
 		t.Fatal("no iterations ran")
 	}
 	if got := seq.Modularity(g, out, 1); got != q {
-		// score() computes Eq. (3) over the final assignment; both must agree.
+		// The returned score is Eq. (3) of the returned assignment (scored
+		// by the speculative sweep that read it); the serial kernel must
+		// agree up to summation order.
 		if diff := got - q; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("returned score %v != recomputed %v", q, got)
 		}

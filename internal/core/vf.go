@@ -47,10 +47,15 @@ func vfScan(c *vfCtx, lo, hi int) {
 	atomicAdd64(c.merged, local)
 }
 
+// vfBreakPairs resolves each mutual pair to its smaller id. A vertex that
+// follows p has p as its only neighbor, so only p can follow it back. The
+// smaller vertex of a pair writes its own entry; the id test comes first so
+// that the larger one, the only other vertex that could read that entry,
+// never does (the read would race with the write).
 func vfBreakPairs(c *vfCtx, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		p := c.parent[i]
-		if p != int32(i) && c.parent[p] == int32(i) && p > int32(i) {
+		if p > int32(i) && c.parent[p] == int32(i) {
 			c.parent[i] = int32(i)
 		}
 	}

@@ -19,10 +19,12 @@
 //     (cut edges now fully counted) and re-cluster the coarse graph with a
 //     complete engine run.
 //
-// Each shard's sweep is deterministic for any worker count, shards write
-// disjoint label ranges between barriers, and the merge run is a normal
-// deterministic engine run, so the whole pipeline is deterministic for a
-// fixed input and configuration (engines configured Async excepted).
+// Each shard's sweep is deterministic for any worker count when edge weights
+// are integers (for non-integer weights at one worker; see
+// core.Engine.SweepSeeded), shards write disjoint label ranges between
+// barriers, and the merge run is a normal engine run, so under the same
+// condition the whole pipeline is deterministic for a fixed input and
+// configuration (engines configured Async excepted).
 package shard
 
 import (

@@ -1,6 +1,11 @@
 package grappolo
 
-import "grappolo/internal/core"
+import (
+	"fmt"
+	"math"
+
+	"grappolo/internal/core"
+)
 
 // Result is the output of a detection run: the dense community membership
 // of every input vertex, the modularity (or CPM score) achieved, and full
@@ -28,12 +33,32 @@ type Breakdown = core.Breakdown
 type CommunityStats = core.CommunityStats
 
 // Modularity computes standard modularity (Eq. 3 of the paper, with
-// resolution gamma; pass 1 for the standard definition) for an arbitrary
-// assignment on g — use it to score external partitions (e.g. ground truth)
-// with the same parallel kernel the detector uses. workers <= 0 selects all
-// CPUs.
-func Modularity(g *Graph, membership []int32, gamma float64, workers int) float64 {
-	return core.Modularity(g, membership, gamma, workers)
+// resolution gamma; pass 1 for the standard definition, and a non-positive
+// gamma selects 1) for an arbitrary assignment on g — use it to score
+// external partitions (e.g. ground truth) with the same parallel kernel the
+// detector uses. workers <= 0 selects all CPUs.
+//
+// The input is checked before any worker starts: a nil g returns
+// ErrNilGraph, and a membership whose length is not g.N(), a label outside
+// [0, g.N()) or a gamma that is not a finite number returns an *InputError
+// (errors.Is(err, ErrInvalidInput)).
+func Modularity(g *Graph, membership []int32, gamma float64, workers int) (float64, error) {
+	if g == nil {
+		return 0, ErrNilGraph
+	}
+	n := g.N()
+	if len(membership) != n {
+		return 0, &InputError{Arg: "membership", Reason: fmt.Sprintf("length %d, graph has %d vertices", len(membership), n)}
+	}
+	for v, c := range membership {
+		if c < 0 || int(c) >= n {
+			return 0, &InputError{Arg: "membership", Reason: fmt.Sprintf("vertex %d has label %d outside [0, %d)", v, c, n)}
+		}
+	}
+	if math.IsNaN(gamma) || math.IsInf(gamma, 0) {
+		return 0, &InputError{Arg: "gamma", Reason: fmt.Sprintf("%v is not a finite number", gamma)}
+	}
+	return core.Modularity(g, membership, gamma, workers), nil
 }
 
 // AnalyzeCommunities computes per-community statistics for a membership on

@@ -40,7 +40,8 @@ const (
 //
 // Sharded implements Detecter, so it composes with the rest of the stack:
 // wrap it in a Guard for shedding, deadlines and panic quarantine. Results
-// are deterministic for a fixed graph and configuration, but differ from
+// repeat exactly for a fixed graph and configuration (for non-integer edge
+// weights only at Workers(1); see the package doc), but differ from
 // the single-engine Detector's results — sharding changes the sweep order
 // by design (quality stays comparable; the regression tests pin the
 // recovery margin). A Sharded is safe for concurrent use.

@@ -35,6 +35,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -88,6 +89,11 @@ func run(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// Both paths below would misread a non-finite threshold: the serial
+	// reference would never meet it, the parallel path would drop it.
+	if math.IsNaN(*threshold) || math.IsInf(*threshold, 0) {
+		return fmt.Errorf("-threshold %v is not a finite number", *threshold)
 	}
 
 	g, err := loadGraph(*file, *input, *scale, *seed, *workers)

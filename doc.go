@@ -273,13 +273,16 @@
 // equal those of scoring each state right after the sweep that made it,
 // bit for bit; a phase pays one extra sweep in place of one scoring pass
 // per iteration. Colored and asynchronous sweeps move vertices while they
-// read, so they keep the separate scoring pass. Measured with bench/run.sh
-// on a shared 2-vCPU host (medians of alternating before/after pairs),
-// suite time fell from 2.66 s to 1.68 s on suite-baseline, from 2.08 s to
-// 1.55 s on suite-colored and from 2.69 s to 2.30 s on shard-suite, and
-// serve-cold throughput rose from 100 to 128 requests/s; serve-hot's cache
-// hits never reach the engine and did not move. The README's Performance
-// section has the quartiles and pair counts.
+// read, so scoring the state they leave still reads every arc; it reduces
+// through the same code, over the a_C it rebuilds from that state, and the
+// next sweep starts from those a_C instead of rebuilding them. Measured
+// with bench/run.sh on a shared 2-vCPU host (medians of alternating
+// before/after pairs), suite time fell from 2.66 s to 1.68 s on
+// suite-baseline, from 2.08 s to 1.55 s on suite-colored and from 2.69 s
+// to 2.30 s on shard-suite, and serve-cold throughput rose from 100 to 128
+// requests/s; serve-hot's cache hits never reach the engine and did not
+// move. The README's Performance section has the quartiles and pair
+// counts.
 //
 // # Reusable Engine and scratch ownership
 //
@@ -372,7 +375,10 @@
 // appends not rooted in a parameter or receiver, fmt calls, interface
 // boxing, and closure creation. Annotate a function hot only when a
 // steady-state allocation test covers the path; the directive is a
-// machine-checked claim, not documentation. Run the suite with
+// machine-checked claim, not documentation, and a test in
+// internal/analysis also checks it against the compiler's escape analysis
+// (go build -gcflags=-m): no "escapes to heap" or "moved to heap" line may
+// fall inside an annotated function. Run the suite with
 //
 //	go run ./cmd/grappolovet ./...
 //

@@ -43,17 +43,19 @@ func (e *EngineFaultError) Error() string {
 // Is matches the ErrEngineFault sentinel.
 func (e *EngineFaultError) Is(target error) bool { return target == ErrEngineFault }
 
-// ErrInvalidInput is matched (errors.Is) by the error Modularity returns for
-// an argument it refuses: a membership that does not give each of the
-// graph's vertices one label in [0, g.N()), or a resolution that is not a
-// finite number. The concrete value is an *InputError naming the argument.
+// ErrInvalidInput is matched (errors.Is) by the error Modularity,
+// AnalyzeCommunities and DetectSerial return for an argument they refuse: a
+// membership that does not give each of the graph's vertices one label in
+// [0, g.N()) (Modularity, AnalyzeCommunities), a resolution that is not a
+// finite number (Modularity), or a threshold that is not a finite number
+// (DetectSerial). The concrete value is an *InputError naming the argument.
 // A nil graph is reported as ErrNilGraph instead.
 var ErrInvalidInput = errors.New("grappolo: invalid input")
 
-// InputError reports an argument Modularity refuses, and why. It matches
-// ErrInvalidInput under errors.Is.
+// InputError reports an argument Modularity, AnalyzeCommunities or
+// DetectSerial refuses, and why. It matches ErrInvalidInput under errors.Is.
 type InputError struct {
-	// Arg names the argument, e.g. "membership" or "gamma".
+	// Arg names the argument: "membership", "gamma" or "threshold".
 	Arg string
 	// Reason says what is wrong with it.
 	Reason string

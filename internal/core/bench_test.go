@@ -34,7 +34,7 @@ func BenchmarkRebuild(b *testing.B) {
 
 // TestDecideSteadyStateZeroAllocs pins the flat-accumulator invariant the
 // refactor exists for: once a phase's scratch pool is allocated, running
-// decide over every vertex allocates nothing.
+// each sweep mode's decide kernel over every vertex allocates nothing.
 func TestDecideSteadyStateZeroAllocs(t *testing.T) {
 	g := generate.MustGenerate(generate.RGG, generate.Small, 0, 1)
 	st := newPhaseState(g, Options{Resolution: 1}.Defaults(), nil, 1)
@@ -42,13 +42,29 @@ func TestDecideSteadyStateZeroAllocs(t *testing.T) {
 	st.refreshAggregates(st.prev, 1)
 	acc := st.scratch[0]
 	n := g.N()
-	allocs := testing.AllocsPerRun(20, func() {
-		for i := 0; i < n; i++ {
-			st.curr[i] = st.decide(i, st.prev, acc, false, false)
+	for _, k := range []struct {
+		name  string
+		sweep func()
+	}{
+		{"decideSnap", func() {
+			for i := 0; i < n; i++ {
+				st.curr[i], _ = st.decideSnap(i, st.prev, acc)
+			}
+		}},
+		{"decideLive", func() {
+			for i := 0; i < n; i++ {
+				st.curr[i] = st.decideLive(i, st.prev, acc)
+			}
+		}},
+		{"decideAsync", func() {
+			for i := 0; i < n; i++ {
+				st.curr[i] = st.decideAsync(i, st.prev, acc)
+			}
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(20, k.sweep); allocs != 0 {
+			t.Errorf("steady-state %s loop allocates: %v allocs per sweep over %d vertices, want 0", k.name, allocs, n)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state decide loop allocates: %v allocs per sweep over %d vertices, want 0", allocs, n)
 	}
 }
 

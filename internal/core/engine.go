@@ -327,7 +327,9 @@ func (e *Engine) runPhase(g *graph.Graph, threshold float64, colorSets *coloring
 // speculative: curr ← prev undoes its moves. Iteration counts, score traces
 // and memberships are those of scoring each state right after the sweep
 // that made it; the phase pays one extra sweep instead of a scoring pass
-// over every arc per iteration.
+// over every arc per iteration. Colored and async phases score each state
+// after the sweep that made it, and that score leaves the aggregates the
+// next sweep starts from.
 func (e *Engine) iterate(cs *coloring.Coloring, async bool, threshold float64, trace *[]float64) (int, float64, bool) {
 	st := &e.st
 	workers := e.opts.Workers
@@ -336,7 +338,7 @@ func (e *Engine) iterate(cs *coloring.Coloring, async bool, threshold float64, t
 	var q float64
 	if snapshot {
 		st.sweepUncolored(workers)
-		q = st.sweptScore(workers)
+		q = st.reduceScore(sweptWithin, workers)
 	} else {
 		q = st.score(workers)
 	}
@@ -355,7 +357,7 @@ func (e *Engine) iterate(cs *coloring.Coloring, async bool, threshold float64, t
 			next = st.score(workers)
 		default:
 			st.sweepUncolored(workers)
-			next = st.sweptScore(workers)
+			next = st.reduceScore(sweptWithin, workers)
 		}
 		iters++
 		if trace != nil {

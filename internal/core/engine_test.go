@@ -120,6 +120,9 @@ func TestEngineRunSteadyStateZeroAllocs(t *testing.T) {
 		"vfcolor-auto": {Workers: 1, VertexFollowing: true,
 			Coloring: ColorMultiPhase, ColoringVertexCutoff: 1, ColorBalance: BalanceAuto},
 		"cpm": {Workers: 1, Objective: ObjCPM, CPMGamma: 0.5},
+		"cpm-color": {Workers: 1, Objective: ObjCPM, CPMGamma: 0.5,
+			Coloring: ColorMultiPhase, ColoringVertexCutoff: 1},
+		"plm": PLM(1),
 		"vfcolor": {Workers: 1, VertexFollowing: true,
 			Coloring: ColorMultiPhase, ColoringVertexCutoff: 1},
 	} {

@@ -56,13 +56,9 @@ type phaseState struct {
 	// suffix, which is how a shard clusters its own vertices against frozen
 	// images of other shards' boundary vertices.
 	sweepOwn int
-	// aggF/aggI are pooled reduction buffers for the modularity (a_C) and
-	// CPM (node-size) scoring kernels, zeroed per use.
-	aggF []float64
-	aggI []int64
 	// within[i] is e_{i→C(i)} under prev, self-loop included: what vertex
 	// i contributes to the within-community sum of Eq. (3). sweepUncolored
-	// records it for every vertex so sweptScore can score prev without a
+	// records it for every vertex so reduceScore can score prev without a
 	// second pass over the arcs.
 	within []float64
 	// transient loop-body inputs (set immediately before the loops that read
@@ -135,8 +131,8 @@ func (st *phaseState) reset(g *graph.Graph, opts Options, nodeSize []int64, work
 	})
 }
 
-// newPhaseState allocates a standalone phase state (tests, benchmarks, and
-// the exported Modularity kernel); the Engine recycles one via reset.
+// newPhaseState allocates a standalone phase state (tests and benchmarks);
+// the Engine recycles one via reset.
 func newPhaseState(g *graph.Graph, opts Options, nodeSize []int64, workers int) *phaseState {
 	st := &phaseState{}
 	st.reset(g, opts, nodeSize, workers)
@@ -144,8 +140,8 @@ func newPhaseState(g *graph.Graph, opts Options, nodeSize []int64, workers int) 
 }
 
 // refreshAggregates recomputes a_C and |C| (and the CPM node-size sums)
-// from the given assignment (prev for uncolored iterations, curr before a
-// colored sweep).
+// from the given assignment: prev before an uncolored sweep, curr when score
+// scores it. It is the engine's one a_C builder.
 func (st *phaseState) refreshAggregates(from []int32, workers int) {
 	n := st.g.N()
 	if par.Workers(workers, n) == 1 {
@@ -153,7 +149,7 @@ func (st *phaseState) refreshAggregates(from []int32, workers int) {
 		// scatter adds below would execute in exactly ascending-i order
 		// anyway, so a plain serial pass computes bit-identical aggregates
 		// without paying a CAS per vertex. On a 1-core host this takes a
-		// measurable slice off every sweep (aggregates refresh each sweep).
+		// measurable slice off every iteration (each one refreshes once).
 		for i := 0; i < n; i++ {
 			st.commDeg[i] = 0
 			st.size[i] = 0
@@ -194,37 +190,13 @@ func (st *phaseState) refreshAggregates(from []int32, workers int) {
 	st.refreshFrom = nil
 }
 
-// decide computes vertex i's new community per Eqs. (4)–(5) with the
-// minimum-label heuristics of §5.1. membership is the array decisions read
-// (prev for uncolored sweeps, curr for colored/async ones); atomicAgg
-// selects whether community aggregates are read with atomic loads (colored
-// sweeps mutate them concurrently); atomicComm additionally reads the
-// membership itself atomically (async mode, where adjacent vertices move
-// concurrently).
-//
-// It is a thin dispatcher kept for tests and out-of-loop callers: the sweep
-// bodies call the MONOMORPHIC per-mode kernels below directly, so the per-arc
-// hot loops carry no atomicity branches and no closure dispatch. Every
-// kernel is a pure restructuring of the historical single-function decide —
-// identical arc visit order, identical float expressions — so decisions stay
-// bit-identical across kernels.
-//
-//grappolo:hotpath
-func (st *phaseState) decide(i int, membership []int32, acc *par.SparseAccum, atomicAgg, atomicComm bool) int32 {
-	switch {
-	case atomicComm:
-		return st.decideAsync(i, membership, acc)
-	case atomicAgg:
-		return st.decideLive(i, membership, acc)
-	default:
-		next, _ := st.decideSnap(i, membership, acc)
-		return next
-	}
-}
-
-// decideSnap is decide for uncolored snapshot sweeps: plain membership and
-// aggregate reads (no other vertex mutates them during the sweep). It also
-// returns ownWeight(i, membership) at almost no cost: after the gather, the
+// decideSnap computes vertex i's new community per Eqs. (4)–(5) with the
+// minimum-label heuristics of §5.1, for uncolored snapshot sweeps: plain
+// membership and aggregate reads (no other vertex mutates them during the
+// sweep). decideLive and decideAsync are its MONOMORPHIC twins for colored
+// and async sweeps — same arc visit order, same float expressions — so the
+// per-arc hot loops carry no atomicity branches. It also returns
+// ownWeight(i, membership) at almost no cost: after the gather, the
 // accumulator's slot for C(i) holds e_{i→C(i)\{i}}, built by the same adds
 // in the same arc order from the same 0 as ownWeight's sum, so for a row
 // without a self-loop it IS that sum, bit for bit. A row with a self-loop
@@ -243,9 +215,9 @@ func (st *phaseState) decideSnap(i int, membership []int32, acc *par.SparseAccum
 	return st.bestModPlain(i, ci, acc), own
 }
 
-// decideLive is decide for colored sweeps: memberships are stable (no two
-// same-set vertices are adjacent) but community aggregates mutate under
-// concurrent applyMove, so they are read atomically.
+// decideLive is decideSnap's decision for colored sweeps: memberships are
+// stable (no two same-set vertices are adjacent) but community aggregates
+// mutate under concurrent applyMove, so they are read atomically.
 //
 //grappolo:hotpath
 func (st *phaseState) decideLive(i int, membership []int32, acc *par.SparseAccum) int32 {
@@ -256,9 +228,9 @@ func (st *phaseState) decideLive(i int, membership []int32, acc *par.SparseAccum
 	return st.bestModAtomic(i, ci, acc)
 }
 
-// decideAsync is decide for asynchronous live-state sweeps: adjacent
-// vertices move concurrently, so memberships AND aggregates are read
-// atomically.
+// decideAsync is decideSnap's decision for asynchronous live-state sweeps:
+// adjacent vertices move concurrently, so memberships AND aggregates are
+// read atomically.
 //
 //grappolo:hotpath
 func (st *phaseState) decideAsync(i int, membership []int32, acc *par.SparseAccum) int32 {
@@ -542,7 +514,7 @@ func (st *phaseState) applyMove(i int, old, next int32) {
 // where two gains nearly tie, a decision — can vary from run to run.
 //
 // The sweep also scores the snapshot it reads: it records within[i] =
-// ownWeight(i, prev) for every vertex (see decideSnap), so sweptScore can
+// ownWeight(i, prev) for every vertex (see decideSnap), so reduceScore can
 // score prev by an O(n) reduction instead of a second pass over the arcs.
 func (st *phaseState) sweepUncolored(workers int) {
 	n := st.g.N()
@@ -577,12 +549,23 @@ func (st *phaseState) sweepUncolored(workers int) {
 // migration.
 //
 //grappolo:hotpath
-func sweepColoredSet(st *phaseState, w, lo, hi int) {
+func sweepColoredSet(st *phaseState, w, lo, hi int) { st.moveSet(st.curSet, w, lo, hi) }
+
+// sweepMergedSet is sweepColoredSet for one stage of a merged run of small
+// color sets: the set comes from the staged pass instead of curSet.
+//
+//grappolo:hotpath
+func sweepMergedSet(st *phaseState, s, w, lo, hi int) { st.moveSet(st.mergeSets[s], w, lo, hi) }
+
+// moveSet is the body both colored-set schedulers run: members lo..hi-1 of
+// one color set decide on worker w's accumulator and migrate.
+//
+//grappolo:hotpath
+func (st *phaseState) moveSet(set []int32, w, lo, hi int) {
 	if st.stop() { // per-chunk cancellation check; results are discarded
 		return
 	}
 	acc := st.scratch[w]
-	set := st.curSet
 	for t := lo; t < hi; t++ {
 		i := int(set[t])
 		if st.pref && t+1 < hi {
@@ -617,8 +600,10 @@ const colorMergeCutoff = 2048
 // and the binary-search chunking. Runs of sets smaller than
 // colorMergeCutoff share one worker team via par.ForStagesCtx (see the
 // constant's comment).
+//
+// The sweep starts from the aggregates in place, which must be curr's: score
+// leaves them so, as does reset for the singleton start.
 func (st *phaseState) sweepColored(sets [][]int32, workers int) {
-	st.refreshAggregates(st.curr, workers)
 	if !st.arcEvenSets && !st.prefixReady {
 		total := 0
 		for _, set := range sets {
@@ -685,37 +670,12 @@ func (st *phaseState) sweepColored(sets [][]int32, workers int) {
 // mergedSetLen is the stage-size hook for the merged small-set pass.
 func mergedSetLen(st *phaseState, s int) int { return len(st.mergeSets[s]) }
 
-// sweepMergedSet is sweepColoredSet for one stage of a merged run of small
-// color sets: identical decide/apply semantics, the set simply comes from
-// the staged pass instead of curSet.
-//
-//grappolo:hotpath
-func sweepMergedSet(st *phaseState, s, w, lo, hi int) {
-	if st.stop() { // per-chunk cancellation check; results are discarded
-		return
-	}
-	acc := st.scratch[w]
-	set := st.mergeSets[s]
-	for t := lo; t < hi; t++ {
-		i := int(set[t])
-		if st.pref && t+1 < hi {
-			st.prefetchRow(int(set[t+1]), st.curr) // hints land while i decides
-		}
-		old := st.curr[i]
-		next := st.decideLive(i, st.curr, acc)
-		if next != old {
-			st.applyMove(i, old, next)
-			st.curr[i] = next
-		}
-	}
-}
-
 // sweepAsync performs one full iteration of asynchronous live-state local
 // moves (the PLM emulation, §7): every vertex decides from whatever its
 // neighbors' CURRENT assignments are, with membership and aggregates both
-// accessed atomically because adjacent vertices move concurrently.
+// accessed atomically because adjacent vertices move concurrently. Like
+// sweepColored, it starts from curr's aggregates in place.
 func (st *phaseState) sweepAsync(workers int) {
-	st.refreshAggregates(st.curr, workers)
 	par.ForChunkPrefixCtx(st, st.g.ArcOffsets(), workers, func(st *phaseState, w, lo, hi int) {
 		if st.stop() { // per-chunk cancellation check; results are discarded
 			return
@@ -735,28 +695,26 @@ func (st *phaseState) sweepAsync(workers int) {
 	})
 }
 
-// score computes the active objective for the current assignment: Eq. (3)
-// modularity, or the normalized CPM score H/m under ObjCPM.
+// score computes the active objective for curr — Eq. (3) modularity, or
+// the normalized CPM score H/m under ObjCPM — and leaves curr's a_C, |C| and
+// CPM node-size sums in place, where the next colored or async sweep reads
+// them.
 func (st *phaseState) score(workers int) float64 {
-	if st.obj == ObjCPM {
-		return st.cpmScore(workers)
-	}
-	return st.modularity(workers)
+	st.refreshAggregates(st.curr, workers)
+	return st.reduceScore(currWithin, workers)
 }
 
-// sweptScore is score for prev, the snapshot the last sweepUncolored read,
-// computed from what that sweep left behind: the within values it recorded
-// and the aggregates it rebuilt from prev. These are the per-vertex and
-// per-community terms modularity and cpmScore compute from the same
-// assignment, reduced over the same SumFloat64Ctx partition, so the result
-// has the bits score gives prev whenever a_C does (see sweepUncolored).
-func (st *phaseState) sweptScore(workers int) float64 {
+// reduceScore computes the active objective from the aggregates in place and
+// within(st, i), vertex i's within-community term under the assignment they
+// were built from. CPM is H/m = (w_in − γ·Σ_C binom(ns_C,2)) / m, with w_in
+// counted by the coarsening-invariant within2/2 convention.
+func (st *phaseState) reduceScore(within func(*phaseState, int) float64, workers int) float64 {
 	n := st.g.N()
 	if st.obj == ObjCPM {
 		if n == 0 || st.m == 0 {
 			return 0
 		}
-		within2 := par.SumFloat64Ctx(st, n, workers, sweptWithin)
+		within2 := par.SumFloat64Ctx(st, n, workers, within)
 		penalty := par.SumFloat64Ctx(st, n, workers, func(st *phaseState, c int) float64 {
 			s := float64(st.commNS[c])
 			return s * (s - 1) / 2
@@ -766,74 +724,19 @@ func (st *phaseState) sweptScore(workers int) float64 {
 	if n == 0 || st.m2 == 0 {
 		return 0
 	}
-	within := par.SumFloat64Ctx(st, n, workers, sweptWithin)
+	in := par.SumFloat64Ctx(st, n, workers, within)
 	null := par.SumFloat64Ctx(st, n, workers, func(st *phaseState, c int) float64 {
 		f := st.commDeg[c] / st.m2
 		return f * f
 	})
-	return within/st.m2 - st.gamma*null
+	return in/st.m2 - st.gamma*null
 }
 
 // sweptWithin is vertex i's within-community term under prev, as the last
-// sweep recorded it.
+// sweepUncolored recorded it: ownWeight(i, prev) bit for bit, so
+// reduceScore(sweptWithin) gives prev the score's bits whenever a_C has
+// them (see sweepUncolored).
 func sweptWithin(st *phaseState, i int) float64 { return st.within[i] }
 
 // currWithin is vertex i's within-community term under curr.
 func currWithin(st *phaseState, i int) float64 { return st.ownWeight(i, st.curr) }
-
-// cpmScore computes H/m = (w_in − γ·Σ_C binom(ns_C,2)) / m in parallel,
-// with w_in counted by the coarsening-invariant within2/2 convention.
-func (st *phaseState) cpmScore(workers int) float64 {
-	g := st.g
-	n := g.N()
-	if n == 0 || st.m == 0 {
-		return 0
-	}
-	within2 := par.SumFloat64Ctx(st, n, workers, currWithin)
-	ns := par.Resize(st.aggI, n)
-	st.aggI = ns
-	par.ForChunkCtx(st, n, workers, 0, func(st *phaseState, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			st.aggI[i] = 0
-		}
-	})
-	par.ForChunkCtx(st, n, workers, 0, func(st *phaseState, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			atomicAdd64(&st.aggI[st.curr[i]], st.nodeSize[i])
-		}
-	})
-	penalty := par.SumFloat64Ctx(st, n, workers, func(st *phaseState, c int) float64 {
-		s := float64(st.aggI[c])
-		return s * (s - 1) / 2
-	})
-	return (within2/2 - st.cpmGamma*penalty) / st.m
-}
-
-// modularity computes Eq. (3) for the current assignment in parallel.
-func (st *phaseState) modularity(workers int) float64 {
-	g := st.g
-	n := g.N()
-	m2 := g.TotalWeight()
-	if n == 0 || m2 == 0 {
-		return 0
-	}
-	within := par.SumFloat64Ctx(st, n, workers, currWithin)
-	// a_C from curr (into the pooled, zeroed buffer), then Σ (a_C / 2m)².
-	deg := par.Resize(st.aggF, n)
-	st.aggF = deg
-	par.ForChunkCtx(st, n, workers, 0, func(st *phaseState, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			st.aggF[i] = 0
-		}
-	})
-	par.ForChunkCtx(st, n, workers, 0, func(st *phaseState, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			par.AddFloat64(&st.aggF[st.curr[i]], st.g.Degree(i))
-		}
-	})
-	null := par.SumFloat64Ctx(st, n, workers, func(st *phaseState, c int) float64 {
-		f := st.aggF[c] / st.m2
-		return f * f
-	})
-	return within/m2 - st.gamma*null
-}

@@ -23,13 +23,16 @@ func Run(g *graph.Graph, opts Options) *Result {
 	return NewEngine(opts).Run(g)
 }
 
-// Modularity computes Eq. (3) for an arbitrary assignment on g using
-// opts.Workers workers — exposed so callers can score external partitions
-// (e.g. ground truth) with the same parallel kernel.
+// Modularity computes Eq. (3) for an arbitrary assignment on g with the
+// given number of workers — exposed so callers can score external
+// partitions (e.g. ground truth) with phaseState.score, the same code that
+// scores every engine iteration.
 func Modularity(g *graph.Graph, membership []int32, gamma float64, workers int) float64 {
 	if gamma <= 0 {
 		gamma = 1
 	}
-	st := &phaseState{g: g, m: g.M(), m2: g.TotalWeight(), curr: membership, gamma: gamma}
-	return st.modularity(workers)
+	n := g.N()
+	st := &phaseState{g: g, m: g.M(), m2: g.TotalWeight(), curr: membership, gamma: gamma,
+		commDeg: make([]float64, n), size: make([]int64, n)}
+	return st.score(workers)
 }

@@ -40,9 +40,6 @@ const (
 	PLMScheme Scheme = "plm"
 )
 
-// ParallelSchemes lists the three parallel variants in paper order.
-func ParallelSchemes() []Scheme { return []Scheme{Baseline, BaselineVF, BaselineVFColor} }
-
 // AllSchemes lists serial plus the parallel variants.
 func AllSchemes() []Scheme {
 	return []Scheme{Serial, Baseline, BaselineVF, BaselineVFColor}

@@ -43,17 +43,8 @@ type CommunityStats = core.CommunityStats
 // [0, g.N()) or a gamma that is not a finite number returns an *InputError
 // (errors.Is(err, ErrInvalidInput)).
 func Modularity(g *Graph, membership []int32, gamma float64, workers int) (float64, error) {
-	if g == nil {
-		return 0, ErrNilGraph
-	}
-	n := g.N()
-	if len(membership) != n {
-		return 0, &InputError{Arg: "membership", Reason: fmt.Sprintf("length %d, graph has %d vertices", len(membership), n)}
-	}
-	for v, c := range membership {
-		if c < 0 || int(c) >= n {
-			return 0, &InputError{Arg: "membership", Reason: fmt.Sprintf("vertex %d has label %d outside [0, %d)", v, c, n)}
-		}
+	if err := checkMembership(g, membership); err != nil {
+		return 0, err
 	}
 	if math.IsNaN(gamma) || math.IsInf(gamma, 0) {
 		return 0, &InputError{Arg: "gamma", Reason: fmt.Sprintf("%v is not a finite number", gamma)}
@@ -62,9 +53,33 @@ func Modularity(g *Graph, membership []int32, gamma float64, workers int) (float
 }
 
 // AnalyzeCommunities computes per-community statistics for a membership on
-// g, sorted by decreasing size. workers <= 0 selects all CPUs.
+// g, sorted by decreasing size. workers <= 0 selects all CPUs. The input is
+// checked as Modularity checks it, before anything is allocated: a nil g
+// returns ErrNilGraph, and a membership that does not give each vertex one
+// label in [0, g.N()) returns an *InputError.
 func AnalyzeCommunities(g *Graph, membership []int32, workers int) ([]CommunityStats, error) {
+	if err := checkMembership(g, membership); err != nil {
+		return nil, err
+	}
 	return core.AnalyzeCommunities(g, membership, workers)
+}
+
+// checkMembership returns ErrNilGraph for a nil g, and an *InputError when
+// membership does not give each of g's vertices one label in [0, g.N()).
+func checkMembership(g *Graph, membership []int32) error {
+	if g == nil {
+		return ErrNilGraph
+	}
+	n := g.N()
+	if len(membership) != n {
+		return &InputError{Arg: "membership", Reason: fmt.Sprintf("length %d, graph has %d vertices", len(membership), n)}
+	}
+	for v, c := range membership {
+		if c < 0 || int(c) >= n {
+			return &InputError{Arg: "membership", Reason: fmt.Sprintf("vertex %d has label %d outside [0, %d)", v, c, n)}
+		}
+	}
+	return nil
 }
 
 // CommunitySizes returns the size of each community of a dense membership.

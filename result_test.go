@@ -8,9 +8,10 @@ import (
 	"grappolo"
 )
 
-// TestModularityRejectsBadInput pins Modularity's boundary checks: each bad
-// input is a typed error, never a panic inside a scoring worker (where no
-// caller could recover it) or a NaN score.
+// TestModularityRejectsBadInput pins the boundary checks of Modularity and
+// AnalyzeCommunities: each bad input is a typed error, never a panic inside
+// a worker (where no caller could recover it), an allocation sized by a
+// bogus label, or a NaN score.
 func TestModularityRejectsBadInput(t *testing.T) {
 	g := grappolo.NewBuilder(4)
 	g.AddEdge(0, 1, 1)
@@ -19,24 +20,40 @@ func TestModularityRejectsBadInput(t *testing.T) {
 	four := g.Build(1)
 	cases := []struct {
 		name       string
+		analyze    bool // call AnalyzeCommunities instead of Modularity
 		g          *grappolo.Graph
 		membership []int32
 		gamma      float64
 		want       error
 	}{
-		{"nil graph", nil, []int32{0, 0, 1, 1}, 1, grappolo.ErrNilGraph},
-		{"short membership", four, []int32{0, 0, 1}, 1, grappolo.ErrInvalidInput},
-		{"label out of range", four, []int32{0, 0, 7, 7}, 1, grappolo.ErrInvalidInput},
-		{"NaN gamma", four, []int32{0, 0, 1, 1}, math.NaN(), grappolo.ErrInvalidInput},
+		{"nil graph", false, nil, []int32{0, 0, 1, 1}, 1, grappolo.ErrNilGraph},
+		{"short membership", false, four, []int32{0, 0, 1}, 1, grappolo.ErrInvalidInput},
+		{"label out of range", false, four, []int32{0, 0, 7, 7}, 1, grappolo.ErrInvalidInput},
+		{"NaN gamma", false, four, []int32{0, 0, 1, 1}, math.NaN(), grappolo.ErrInvalidInput},
+		{"analyze nil graph", true, nil, []int32{0, 0, 1, 1}, 1, grappolo.ErrNilGraph},
+		{"analyze short membership", true, four, []int32{0, 0, 1}, 1, grappolo.ErrInvalidInput},
+		{"analyze label out of range", true, four, []int32{0, 0, 7, 7}, 1, grappolo.ErrInvalidInput},
+		{"analyze label n", true, four, []int32{0, 0, 1, 4}, 1, grappolo.ErrInvalidInput},
+		{"analyze negative label", true, four, []int32{0, -1, 1, 1}, 1, grappolo.ErrInvalidInput},
 	}
 	for _, c := range cases {
 		for _, workers := range []int{1, 2} {
-			q, err := grappolo.Modularity(c.g, c.membership, c.gamma, workers)
+			var err error
+			if c.analyze {
+				var cs []grappolo.CommunityStats
+				cs, err = grappolo.AnalyzeCommunities(c.g, c.membership, workers)
+				if cs != nil {
+					t.Errorf("%s (workers=%d): %d stats with an error, want none", c.name, workers, len(cs))
+				}
+			} else {
+				var q float64
+				q, err = grappolo.Modularity(c.g, c.membership, c.gamma, workers)
+				if q != 0 {
+					t.Errorf("%s (workers=%d): score %v with an error, want 0", c.name, workers, q)
+				}
+			}
 			if !errors.Is(err, c.want) {
 				t.Errorf("%s (workers=%d): err = %v, want %v", c.name, workers, err, c.want)
-			}
-			if q != 0 {
-				t.Errorf("%s (workers=%d): score %v with an error, want 0", c.name, workers, q)
 			}
 			var ie *grappolo.InputError
 			if errors.As(err, &ie) != errors.Is(c.want, grappolo.ErrInvalidInput) {

@@ -1,6 +1,11 @@
 package grappolo
 
-import "grappolo/internal/seq"
+import (
+	"fmt"
+	"math"
+
+	"grappolo/internal/seq"
+)
 
 // SerialResult is the outcome of DetectSerial: the serial Louvain
 // reference's partitioning and its convergence counters (the quantities the
@@ -24,10 +29,14 @@ type SerialResult struct {
 // (cmd/grappolo's -serial and -compare modes); production callers want a
 // Detector, Pool or Guard. threshold is the minimum net modularity gain
 // required to continue (<= 0 selects the paper's default 1e-6). A nil graph
-// returns ErrNilGraph like every other detection entry point.
+// returns ErrNilGraph like every other detection entry point, and a
+// threshold that is not a finite number returns an *InputError.
 func DetectSerial(g *Graph, threshold float64) (*SerialResult, error) {
 	if g == nil {
 		return nil, ErrNilGraph
+	}
+	if math.IsNaN(threshold) || math.IsInf(threshold, 0) {
+		return nil, &InputError{Arg: "threshold", Reason: fmt.Sprintf("%v is not a finite number", threshold)}
 	}
 	res := seq.Run(g, seq.Options{Threshold: threshold})
 	return &SerialResult{

@@ -46,8 +46,8 @@ func New(opts ...Option) (*Detector, error) {
 // later calls. Serving loops that want warm calls to allocate nothing
 // should use DetectInto.
 func (d *Detector) Detect(ctx context.Context, g *Graph) (*Result, error) {
-	if g == nil {
-		return nil, ErrNilGraph
+	if err := checkGraph(g); err != nil {
+		return nil, err
 	}
 	return d.eng.RunCtx(ctx, g)
 }
@@ -60,8 +60,8 @@ func (d *Detector) Detect(ctx context.Context, g *Graph) (*Result, error) {
 // res's contents are undefined, but its storage may be passed to a later
 // call.
 func (d *Detector) DetectInto(ctx context.Context, g *Graph, res *Result) (*Result, error) {
-	if g == nil {
-		return nil, ErrNilGraph
+	if err := checkGraph(g); err != nil {
+		return nil, err
 	}
 	return d.eng.RunIntoCtx(ctx, g, res)
 }

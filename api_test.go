@@ -116,6 +116,50 @@ func TestDetectorMatchesCoreRun(t *testing.T) {
 	}
 }
 
+// TestDefaultColoringPolicy pins the default §6.1 policy of the headline
+// configuration on a graph far below the paper's 100,000-vertex cutoff:
+// with no ColoringCutoff, the first phase colors, the colored phases form a
+// prefix, and only the gain test ends it. Every colored phase but the last
+// gains at least the default colored threshold 1e-3 over the phase before,
+// and the last colored phase, if uncolored phases follow, gains less.
+func TestDefaultColoringPolicy(t *testing.T) {
+	const coloredThreshold = 1e-3
+	g := generate.MustGenerate(generate.EuropeOSM, generate.Small, 0, 1)
+	res, err := grappolo.Detect(context.Background(), g,
+		grappolo.VertexFollowing(), grappolo.Coloring(grappolo.Distance1), grappolo.Workers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Phases) == 0 || !res.Phases[0].Colored {
+		t.Fatalf("first phase of a %d-vertex graph is not colored", g.N())
+	}
+	lastColored := 0
+	for lastColored+1 < len(res.Phases) && res.Phases[lastColored+1].Colored {
+		lastColored++
+	}
+	for i, ph := range res.Phases[lastColored+1:] {
+		if ph.Colored {
+			t.Fatalf("phase %d is colored after uncolored phase %d", lastColored+1+i, lastColored+1)
+		}
+	}
+	finalQ := func(i int) float64 {
+		trace := res.Phases[i].Modularity
+		return trace[len(trace)-1]
+	}
+	for i := 1; i <= lastColored; i++ {
+		gain := finalQ(i) - finalQ(i-1)
+		if i < lastColored && gain < coloredThreshold {
+			t.Errorf("colored phase %d gained %g < %g, yet phase %d is colored", i, gain, coloredThreshold, i+1)
+		}
+		if i == lastColored && lastColored+1 < len(res.Phases) && gain >= coloredThreshold {
+			t.Errorf("last colored phase %d gained %g >= %g, yet phase %d is uncolored", i, gain, coloredThreshold, i+1)
+		}
+	}
+	if lastColored < 2 {
+		t.Fatalf("only %d colored phases; the gain test is not exercised", lastColored+1)
+	}
+}
+
 // TestNewRejectsInvalidOptions pins the validation contract: every invalid
 // value or combination is an error from New, never a silent correction.
 func TestNewRejectsInvalidOptions(t *testing.T) {

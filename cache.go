@@ -263,7 +263,7 @@ func (c *Cache) Len() int { return c.store.Len() }
 // results detected for g no longer describe the live graph. Reports whether
 // an entry was dropped.
 func (c *Cache) Invalidate(g *Graph) bool {
-	if g == nil {
+	if checkGraph(g) != nil {
 		return false
 	}
 	return c.store.Remove(rescache.Key{FP: g.Fingerprint(), Opts: c.opts})
@@ -290,8 +290,8 @@ func (c *Cache) Detect(ctx context.Context, g *Graph) (*Result, error) {
 // res's contents are undefined, but its storage may be passed to a later
 // call.
 func (c *Cache) DetectInto(ctx context.Context, g *Graph, res *Result) (*Result, error) {
-	if g == nil {
-		return nil, ErrNilGraph
+	if err := checkGraph(g); err != nil {
+		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()

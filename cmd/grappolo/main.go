@@ -64,7 +64,7 @@ func run(args []string) error {
 		serial    = fs.Bool("serial", false, "run the serial Louvain reference instead")
 		workers   = fs.Int("workers", 0, "worker count (0 = all CPUs)")
 		threshold = fs.Float64("threshold", 0, "final modularity-gain threshold (0 = default 1e-6)")
-		cutoff    = fs.Int("color-cutoff", 0, "coloring vertex cutoff (0 = default 100000)")
+		cutoff    = fs.Int("color-cutoff", 0, "coloring vertex cutoff (0 = no cutoff)")
 		balance   = fs.String("balance", "off", "color-set rebalancing: off | vertex | arc | auto (§6.2 balanced coloring; auto applies arc mode only when the measured arc-load skew warrants it)")
 		objective = fs.String("objective", "modularity", "quality function: modularity | cpm")
 		cpmGamma  = fs.Float64("cpm-gamma", 0.5, "CPM resolution parameter (with -objective cpm)")

@@ -173,7 +173,9 @@
 // and the
 // Guard converts the propagating panic into an *EngineFaultError carrying
 // the panic value. A nil graph is likewise refused up front with
-// ErrNilGraph by every serving layer. GuardStats extends PoolStats with
+// ErrNilGraph by every serving layer, and a graph whose total edge weight
+// is NaN or infinite with an *InputError (Arg "graph"), since no run on it
+// would end. GuardStats extends PoolStats with
 // Shed, Degraded and Recovered counts; a warm, non-degraded Guard request
 // whose context already has a deadline allocates nothing (pinned by
 // TestGuardWarmZeroAllocs), and the whole stack is soaked under seeded
@@ -329,6 +331,29 @@
 // cache-resident. Building with -tags noasm swaps the hints for portable
 // no-ops — results are identical, and CI runs the kernel packages both
 // ways.
+//
+// # Coloring policy
+//
+// Coloring follows the paper's multi-phase policy (§6.1): a phase stays
+// colored while the one before it gained at least the colored threshold of
+// modularity, and once a colored phase gains less, the remaining phases run
+// uncolored to the final threshold. The paper also stops coloring below
+// 100,000 vertices and uses a colored threshold of 1e-2, values chosen for
+// inputs of 325K–52M vertices. On smaller graphs that cutoff leaves the
+// headline configuration uncolored, so the defaults are no vertex cutoff
+// and a colored threshold of 1e-3, which keeps the generated suite's mean
+// modularity where the paper's policy put it while cutting its iterations
+// from about 1,600 to under 200. ColoringCutoff and Thresholds restore the
+// paper's values; the paper-table harness pins them.
+//
+// A colored run repeats exactly for a given worker count when edge weights
+// are integers, and at Workers(1) for any weights. The speculative coloring
+// reads only colors that are already committed or that the same worker
+// assigned earlier in its chunk, and the chunks depend only on the worker
+// count. At two or more workers, each color set first decides against the
+// community degrees as they stood when the set began, and then applies its
+// moves. Without that, a phase's gain near the colored threshold could stop
+// one run after 3 iterations and carry the next one to 30.
 //
 // # Arc-balanced coloring
 //

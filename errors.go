@@ -3,12 +3,14 @@ package grappolo
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrNilGraph is returned by every detection entry point (Detector, Pool,
-// Sharded, Cache, Guard) handed a nil *Graph. Validating at the boundary turns
-// what used to be a panic deep inside the engine into a typed, checkable
-// request error.
+// Sharded, Cache, Guard, DetectSerial) handed a nil *Graph. Validating at the
+// boundary turns what used to be a panic deep inside the engine into a
+// typed, checkable request error. A graph whose total edge weight is not a
+// finite number is refused at the same boundary with an *InputError.
 var ErrNilGraph = errors.New("grappolo: nil graph")
 
 // ErrOverloaded is the load-shedding sentinel: a Guard returns an error
@@ -44,18 +46,22 @@ func (e *EngineFaultError) Error() string {
 func (e *EngineFaultError) Is(target error) bool { return target == ErrEngineFault }
 
 // ErrInvalidInput is matched (errors.Is) by the error Modularity,
-// AnalyzeCommunities and DetectSerial return for an argument they refuse: a
-// membership that does not give each of the graph's vertices one label in
-// [0, g.N()) (Modularity, AnalyzeCommunities), a resolution that is not a
-// finite number (Modularity), or a threshold that is not a finite number
-// (DetectSerial). The concrete value is an *InputError naming the argument.
-// A nil graph is reported as ErrNilGraph instead.
+// AnalyzeCommunities and the detection entry points return for an argument
+// they refuse: a membership that does not give each of the graph's vertices
+// one label in [0, g.N()) (Modularity, AnalyzeCommunities), a resolution
+// that is not a finite number (Modularity), a threshold that is not a
+// finite number (DetectSerial), or a graph whose total edge weight is not a
+// finite number (every detection entry point: a Builder keeps NaN and +Inf
+// weights, and no run on them would end). The concrete value is an
+// *InputError naming the argument. A nil graph is reported as ErrNilGraph
+// instead.
 var ErrInvalidInput = errors.New("grappolo: invalid input")
 
-// InputError reports an argument Modularity, AnalyzeCommunities or
-// DetectSerial refuses, and why. It matches ErrInvalidInput under errors.Is.
+// InputError reports an argument Modularity, AnalyzeCommunities or a
+// detection entry point refuses, and why. It matches ErrInvalidInput under
+// errors.Is.
 type InputError struct {
-	// Arg names the argument: "membership", "gamma" or "threshold".
+	// Arg names the argument: "membership", "gamma", "threshold" or "graph".
 	Arg string
 	// Reason says what is wrong with it.
 	Reason string
@@ -66,6 +72,19 @@ func (e *InputError) Error() string { return "grappolo: invalid " + e.Arg + ": "
 
 // Is matches the ErrInvalidInput sentinel.
 func (e *InputError) Is(target error) bool { return target == ErrInvalidInput }
+
+// checkGraph is every detection entry point's input check: ErrNilGraph for
+// a nil g, and an *InputError when g's total edge weight is not a finite
+// number. It is O(1): the total is cached when the graph is built.
+func checkGraph(g *Graph) error {
+	if g == nil {
+		return ErrNilGraph
+	}
+	if w := g.TotalWeight(); math.IsNaN(w) || math.IsInf(w, 0) {
+		return &InputError{Arg: "graph", Reason: fmt.Sprintf("total edge weight %v is not a finite number", w)}
+	}
+	return nil
+}
 
 // overloadError is the concrete shed error: it matches ErrOverloaded and
 // names which admission bound was exceeded.

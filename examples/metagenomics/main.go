@@ -39,7 +39,6 @@ func main() {
 		{"baseline+vf+color", []grappolo.Option{
 			grappolo.VertexFollowing(),
 			grappolo.Coloring(grappolo.Distance1),
-			grappolo.ColoringCutoff(256), // laptop-scale input; keep coloring active
 		}},
 	}
 	ctx := context.Background()

@@ -47,7 +47,6 @@ func main() {
 	det, err := grappolo.New(
 		grappolo.VertexFollowing(),
 		grappolo.Coloring(grappolo.Distance1),
-		grappolo.ColoringCutoff(1), // tiny graph; color anyway for the demo
 	)
 	if err != nil {
 		panic(err)

@@ -36,7 +36,6 @@ func main() {
 			grappolo.Workers(w),
 			grappolo.VertexFollowing(),
 			grappolo.Coloring(grappolo.Distance1),
-			grappolo.ColoringCutoff(512),
 		)
 		if err != nil {
 			panic(err)
@@ -63,8 +62,7 @@ func main() {
 	const requests = 16
 	pool, err := grappolo.NewPool(maxW, grappolo.Workers(1),
 		grappolo.VertexFollowing(),
-		grappolo.Coloring(grappolo.Distance1),
-		grappolo.ColoringCutoff(512))
+		grappolo.Coloring(grappolo.Distance1))
 	if err != nil {
 		panic(err)
 	}

@@ -24,7 +24,6 @@ func detectOpts() []grappolo.Option {
 	return []grappolo.Option{
 		grappolo.VertexFollowing(),
 		grappolo.Coloring(grappolo.Distance1),
-		grappolo.ColoringCutoff(512),
 	}
 }
 

@@ -301,7 +301,8 @@ func degradedOptions(base core.Options, profile []Option) (core.Options, error) 
 
 // Detect runs detection on g through the Guard's admission, deadline and
 // degradation policy, returning a fresh Result independent of the serving
-// stack. Errors: ErrNilGraph, an ErrOverloaded match when shed, an
+// stack. Errors: ErrNilGraph, an ErrInvalidInput match for a graph whose
+// total edge weight is not finite, an ErrOverloaded match when shed, an
 // ErrEngineFault match when the run panicked, or the (possibly
 // Guard-imposed) context's error.
 func (gd *Guard) Detect(ctx context.Context, g *Graph) (*Result, error) {
@@ -314,8 +315,8 @@ func (gd *Guard) Detect(ctx context.Context, g *Graph) (*Result, error) {
 // write-back); the Guard allocates only to shed, to derive a default
 // deadline, or on the degraded path.
 func (gd *Guard) DetectInto(ctx context.Context, g *Graph, res *Result) (*Result, error) {
-	if g == nil {
-		return nil, ErrNilGraph
+	if err := checkGraph(g); err != nil {
+		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()

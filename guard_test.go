@@ -3,6 +3,7 @@ package grappolo_test
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -89,6 +90,85 @@ func TestNilGraphTyped(t *testing.T) {
 	}
 	if free := pool.AvailablePermits(); free != 1 {
 		t.Errorf("nil-graph refusals leaked a permit: %d free, want 1", free)
+	}
+}
+
+// TestNonFiniteGraphTyped pins the finite-weight contract across every
+// detection entry point: a graph whose total edge weight is NaN or infinite
+// is refused up front with an *InputError naming "graph", before any permit
+// is consumed. A Builder keeps NaN and +Inf weights, and a run on such a
+// graph never ends, so each call runs under a 10 s timer.
+func TestNonFiniteGraphTyped(t *testing.T) {
+	ctx := context.Background()
+	graphs := map[string]*grappolo.Graph{}
+	for name, w := range map[string][2]float64{
+		"nan":      {math.NaN(), 1},
+		"inf":      {math.Inf(1), 1},
+		"overflow": {math.MaxFloat64, math.MaxFloat64},
+	} {
+		b := grappolo.NewBuilder(3)
+		b.AddEdge(0, 1, w[0])
+		b.AddEdge(1, 2, w[1])
+		graphs[name] = b.Build(1)
+	}
+	d, err := grappolo.New(grappolo.Workers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := grappolo.NewPool(1, grappolo.Workers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gd, err := grappolo.NewGuard(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := grappolo.NewSharded(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := map[string]func(*grappolo.Graph) error{
+		"package Detect": func(g *grappolo.Graph) error {
+			_, err := grappolo.Detect(ctx, g, grappolo.Workers(1))
+			return err
+		},
+		"DetectSerial": func(g *grappolo.Graph) error {
+			_, err := grappolo.DetectSerial(g, 0)
+			return err
+		},
+	}
+	for tag, l := range map[string]grappolo.Detecter{
+		"Detector": d, "Pool": pool, "Sharded": sh, "Cache": newCache(t, pool), "Guard": gd,
+	} {
+		entries[tag+".Detect"] = func(g *grappolo.Graph) error {
+			_, err := l.Detect(ctx, g)
+			return err
+		}
+		entries[tag+".DetectInto"] = func(g *grappolo.Graph) error {
+			_, err := l.DetectInto(ctx, g, nil)
+			return err
+		}
+	}
+	for gname, g := range graphs {
+		for ename, detect := range entries {
+			done := make(chan error, 1)
+			go func() { done <- detect(g) }()
+			select {
+			case err := <-done:
+				var ie *grappolo.InputError
+				if !errors.Is(err, grappolo.ErrInvalidInput) || !errors.As(err, &ie) || ie.Arg != "graph" {
+					t.Errorf("%s on the %s graph: err = %v, want an *InputError naming graph", ename, gname, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s on the %s graph: no return within 10 s", ename, gname)
+			}
+		}
+	}
+	if s := pool.Stats(); s.Led != 0 || s.Canceled != 0 {
+		t.Errorf("non-finite-graph refusals consumed pool state: %+v", s)
+	}
+	if free := pool.AvailablePermits(); free != 1 {
+		t.Errorf("non-finite-graph refusals leaked a permit: %d free, want 1", free)
 	}
 }
 

@@ -8,16 +8,17 @@
 // et al. (the paper's reference [12]): all uncolored vertices pick the
 // smallest color not used by their neighbors concurrently (tentatively),
 // then conflicts (adjacent equal colors) are detected and the loser is
-// uncolored for the next round. The package also provides the balanced
-// variant the paper proposes as future work for skewed color-set sizes
-// (§6.2, uk-2002 discussion) and a distance-2 option (§5.2 mentions
+// uncolored for the next round. A tentative color reads only colors that
+// cannot change under it, so for a given worker count the coloring is the
+// same on every run (see ParallelWith). The package also provides the
+// balanced variant the paper proposes as future work for skewed color-set
+// sizes (§6.2, uk-2002 discussion) and a distance-2 option (§5.2 mentions
 // distance-k coloring).
 package coloring
 
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"grappolo/internal/graph"
 	"grappolo/internal/par"
@@ -130,13 +131,6 @@ func (s Stats) String() string {
 	return out
 }
 
-// load/store wrap atomic access to the shared tentative-color array; the
-// speculative phase reads neighbors' colors while other workers assign
-// theirs, exactly like the OpenMP original, and the atomics make that
-// well-defined under the Go memory model.
-func load(colors []int32, i int32) int32 { return atomic.LoadInt32(&colors[i]) }
-func store(colors []int32, i, c int32)   { atomic.StoreInt32(&colors[i], c) }
-
 // Greedy computes a serial first-fit distance-1 coloring in vertex order.
 // It is the reference implementation used by tests and small graphs.
 func Greedy(g *graph.Graph) *Coloring {
@@ -174,8 +168,9 @@ func Greedy(g *graph.Graph) *Coloring {
 }
 
 // Parallel computes a distance-1 coloring with p workers using speculative
-// rounds. The result is a valid coloring for any schedule; the exact colors
-// may vary with p (as the paper notes for its coloring-dependent outputs).
+// rounds. The result is a valid coloring, the same on every run for a given
+// p; the exact colors may vary with p (as the paper notes for its
+// coloring-dependent outputs). With one worker it is Greedy's coloring.
 func Parallel(g *graph.Graph, p int) *Coloring {
 	return ParallelWith(g, p, nil)
 }
@@ -183,7 +178,22 @@ func Parallel(g *graph.Graph, p int) *Coloring {
 // ParallelWith is Parallel drawing every working buffer — including the
 // returned Coloring's storage — from s (see Scratch for ownership rules).
 // A nil s allocates a private scratch, making it equivalent to Parallel.
+//
+// Each round splits the worklist into the chunks par.ForChunkWorkerCtx
+// cuts for p workers, which depend only on p and the worklist's length.
+// A worklist vertex takes its tentative color from the colors committed in
+// earlier rounds and from the tentative colors of the vertices before it in
+// its own chunk, which one worker assigns in order; it never reads a color
+// another worker is assigning. Conflicts can then only cross chunks, and
+// the higher id loses. Which worker runs which chunk, and when, changes
+// nothing, so the coloring repeats exactly.
 func ParallelWith(g *graph.Graph, p int, s *Scratch) *Coloring {
+	return speculate(g, p, s, speculatePhase, conflictPhase)
+}
+
+// speculate runs the speculate-and-resolve rounds with the given distance's
+// two loop bodies (see ParallelWith) and assembles the result in s.
+func speculate(g *graph.Graph, p int, s *Scratch, spec func(*specCtx, int, int, int), resolve func(*specCtx, int, int)) *Coloring {
 	if s == nil {
 		s = NewScratch()
 	}
@@ -193,6 +203,8 @@ func ParallelWith(g *graph.Graph, p int, s *Scratch) *Coloring {
 	for i := range colors {
 		colors[i] = -1
 	}
+	tent := par.Resize(s.tent, n)
+	s.tent = tent
 	worklist := par.Resize(s.worklist, n)
 	s.worklist = worklist
 	for i := range worklist {
@@ -200,30 +212,34 @@ func ParallelWith(g *graph.Graph, p int, s *Scratch) *Coloring {
 	}
 	conflictFlags := par.Resize(s.conflicts, n)
 	s.conflicts = conflictFlags
+	// Per-worker flat color marks, reused (and kept grown) across chunks,
+	// rounds and — via the scratch — whole colorings. Later rounds shrink the
+	// worklist, so this count always covers the loop's effective worker
+	// indices.
 	markers := s.growMarkers(par.Workers(p, n), 0)
 	rounds := 0
 	for len(worklist) > 0 {
 		rounds++
 		ctx := &s.spc
-		*ctx = specCtx{g: g, colors: colors, worklist: worklist,
+		*ctx = specCtx{g: g, colors: colors, tent: tent, worklist: worklist,
 			markers: markers, flags: conflictFlags[:len(worklist)]}
-		// Phase 1: speculative tentative coloring of every worklist vertex.
-		// Neighbor colors move under our feet (by design); each worker marks
-		// whatever colors it observes in its flat generation-stamped marker
-		// and takes the smallest unmarked one.
-		par.ForChunkWorkerCtx(ctx, len(worklist), p, 0, speculatePhase)
-		// Phase 2: conflict detection. Colors are stable during this phase;
-		// of two adjacent same-colored vertices the higher id loses and is
-		// recolored next round.
-		par.ForChunkCtx(ctx, len(worklist), p, 0, conflictPhase)
+		// Phase 1: tentative colors. Each worker marks the colors its vertex
+		// can see in its flat generation-stamped marker and takes the
+		// smallest unmarked one.
+		par.ForChunkWorkerCtx(ctx, len(worklist), p, 0, spec)
+		// Phase 2: conflict detection over the now stable tentative colors;
+		// of two conflicting vertices the higher id loses.
+		par.ForChunkCtx(ctx, len(worklist), p, 0, resolve)
+		// Commit the winners; the losers stay uncolored and form the next
+		// worklist, still in ascending order.
 		next := worklist[:0]
 		for t, f := range ctx.flags {
+			i := worklist[t]
 			if f {
-				next = append(next, worklist[t])
+				next = append(next, i)
+			} else {
+				colors[i] = tent[i]
 			}
-		}
-		for _, i := range next {
-			colors[i] = -1
 		}
 		worklist = next
 	}
@@ -240,36 +256,75 @@ func ParallelWith(g *graph.Graph, p int, s *Scratch) *Coloring {
 // specCtx carries one speculative round's state into the captureless loop
 // bodies, passed by pointer (see par.ForChunkWorkerCtx and the Scratch field
 // comment: capturing closures — or by-value contexts over 128 bytes — would
-// heap-allocate at every round even on a single worker).
+// heap-allocate at every round even on a single worker). colors holds the
+// committed colors (-1 for every worklist vertex) and does not change during
+// a round; tent holds the worklist vertices' tentative colors.
 type specCtx struct {
 	g        *graph.Graph
 	colors   []int32
+	tent     []int32
 	worklist []int32
 	markers  []*par.Marker
 	flags    []bool
 }
 
+// seen returns the color worklist vertex i, the chunk of which starts at
+// worklist vertex first, can see on vertex j: j's committed color, j's
+// tentative color when j precedes i in the same chunk, and otherwise -1.
+// The worklist is ascending and holds every uncolored vertex, so an
+// uncolored j in [first, i) is exactly a vertex of i's chunk before it.
+//
+//grappolo:hotpath
+func (c *specCtx) seen(j, first, i int32) int32 {
+	if cc := c.colors[j]; cc >= 0 {
+		return cc
+	}
+	if j >= first && j < i {
+		return c.tent[j]
+	}
+	return -1
+}
+
+// clashes reports whether worklist vertex i loses to vertex j in conflict
+// detection: j is also on the worklist, has a lower id and took the same
+// tentative color.
+//
+//grappolo:hotpath
+func (c *specCtx) clashes(j, i int32) bool {
+	return j < i && c.colors[j] < 0 && c.tent[j] == c.tent[i]
+}
+
+// mark records color cc (ignored when negative) in marker m.
+func mark(m *par.Marker, cc int32) {
+	if cc < 0 {
+		return
+	}
+	if int(cc) >= m.Universe() {
+		m.Grow(int(cc) + 2) // Grow preserves this epoch's marks
+	}
+	m.Set(cc)
+}
+
+// smallestFree returns the smallest color m has not marked.
+func smallestFree(m *par.Marker) int32 {
+	cc := int32(0)
+	for int(cc) < m.Universe() && m.Has(cc) {
+		cc++
+	}
+	return cc
+}
+
 func speculatePhase(c *specCtx, w, lo, hi int) {
 	used := c.markers[w]
+	first := c.worklist[lo]
 	for t := lo; t < hi; t++ {
 		i := c.worklist[t]
 		used.Reset()
 		nbr, _ := c.g.Neighbors(int(i))
 		for _, j := range nbr {
-			if j != i {
-				if cc := load(c.colors, j); cc >= 0 {
-					if int(cc) >= used.Universe() {
-						used.Grow(int(cc) + 2) // Grow preserves this epoch's marks
-					}
-					used.Set(cc)
-				}
-			}
+			mark(used, c.seen(j, first, i)) // j == i is never seen
 		}
-		cc := int32(0)
-		for int(cc) < used.Universe() && used.Has(cc) {
-			cc++
-		}
-		store(c.colors, i, cc)
+		c.tent[i] = smallestFree(used)
 	}
 }
 
@@ -279,7 +334,7 @@ func conflictPhase(c *specCtx, lo, hi int) {
 		conflict := false
 		nbr, _ := c.g.Neighbors(int(i))
 		for _, j := range nbr {
-			if j != i && c.colors[j] == c.colors[i] && i > j {
+			if c.clashes(j, i) {
 				conflict = true
 				break
 			}
@@ -298,55 +353,10 @@ func ParallelDistance2(g *graph.Graph, p int) *Coloring {
 
 // ParallelDistance2With is ParallelDistance2 drawing every working buffer
 // from s (see Scratch for ownership rules); nil s allocates a private one.
+// Tentative colors follow ParallelWith's rule over the two-hop
+// neighborhood, so the coloring repeats exactly for a given p.
 func ParallelDistance2With(g *graph.Graph, p int, s *Scratch) *Coloring {
-	if s == nil {
-		s = NewScratch()
-	}
-	n := g.N()
-	colors := par.Resize(s.colors, n)
-	s.colors = colors
-	for i := range colors {
-		colors[i] = -1
-	}
-	worklist := par.Resize(s.worklist, n)
-	s.worklist = worklist
-	for i := range worklist {
-		worklist[i] = int32(i)
-	}
-	conflicts := par.Resize(s.conflicts, n)
-	s.conflicts = conflicts
-	// Per-worker flat color marks, reused (and kept grown) across chunks,
-	// rounds and — via the scratch — whole colorings. Later rounds shrink the
-	// worklist, so this count always covers the loop's effective worker
-	// indices.
-	markers := s.growMarkers(par.Workers(p, n), 0)
-	rounds := 0
-	for len(worklist) > 0 {
-		rounds++
-		ctx := &s.spc
-		*ctx = specCtx{g: g, colors: colors, worklist: worklist,
-			markers: markers, flags: conflicts[:len(worklist)]}
-		par.ForChunkWorkerCtx(ctx, len(worklist), p, 0, speculatePhase2)
-		par.ForChunkCtx(ctx, len(worklist), p, 0, conflictPhase2)
-		next := worklist[:0]
-		for t, f := range ctx.flags {
-			if f {
-				next = append(next, worklist[t])
-			}
-		}
-		for _, i := range next {
-			colors[i] = -1
-		}
-		worklist = next
-	}
-	s.spc = specCtx{} // drop graph/slice references until the next kernel call
-	numColors := 0
-	for _, c := range colors {
-		if int(c)+1 > numColors {
-			numColors = int(c) + 1
-		}
-	}
-	return assembleInto(s, colors, numColors, rounds)
+	return speculate(g, p, s, speculatePhase2, conflictPhase2)
 }
 
 // speculatePhase2 and conflictPhase2 are the distance-2 analogs of
@@ -354,36 +364,19 @@ func ParallelDistance2With(g *graph.Graph, p int, s *Scratch) *Coloring {
 // the two-hop neighborhood.
 func speculatePhase2(c *specCtx, w, lo, hi int) {
 	used := c.markers[w]
+	first := c.worklist[lo]
 	for t := lo; t < hi; t++ {
 		i := c.worklist[t]
 		used.Reset()
-		mark := func(cc int32) {
-			if int(cc) >= used.Universe() {
-				used.Grow(int(cc) + 2) // Grow preserves this epoch's marks
-			}
-			used.Set(cc)
-		}
 		nbr, _ := c.g.Neighbors(int(i))
 		for _, j := range nbr {
-			if j != i {
-				if cc := load(c.colors, j); cc >= 0 {
-					mark(cc)
-				}
-			}
+			mark(used, c.seen(j, first, i))
 			nbr2, _ := c.g.Neighbors(int(j))
 			for _, k := range nbr2 {
-				if k != i {
-					if cc := load(c.colors, k); cc >= 0 {
-						mark(cc)
-					}
-				}
+				mark(used, c.seen(k, first, i))
 			}
 		}
-		cc := int32(0)
-		for int(cc) < used.Universe() && used.Has(cc) {
-			cc++
-		}
-		store(c.colors, i, cc)
+		c.tent[i] = smallestFree(used)
 	}
 }
 
@@ -391,20 +384,18 @@ func conflictPhase2(c *specCtx, lo, hi int) {
 	for t := lo; t < hi; t++ {
 		i := c.worklist[t]
 		conflict := false
-		check := func(k int32) {
-			if k != i && c.colors[k] == c.colors[i] && i > k {
-				conflict = true
-			}
-		}
 		nbr, _ := c.g.Neighbors(int(i))
 		for _, j := range nbr {
 			if conflict {
 				break
 			}
-			check(j)
+			conflict = c.clashes(j, i)
 			nbr2, _ := c.g.Neighbors(int(j))
 			for _, k := range nbr2 {
-				check(k)
+				if conflict {
+					break
+				}
+				conflict = c.clashes(k, i)
 			}
 		}
 		c.flags[t] = conflict

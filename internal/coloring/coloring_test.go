@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -102,6 +103,30 @@ func TestParallelMatchesGreedyOnSingleWorker(t *testing.T) {
 	}
 	if cp.NumColors != 2 {
 		t.Fatalf("parallel path coloring used %d colors", cp.NumColors)
+	}
+}
+
+func TestParallelRepeatsForWorkerCount(t *testing.T) {
+	g := generate.MustGenerate(generate.UK2002, generate.Small, 0, 4)
+	if !slices.Equal(Parallel(g, 1).Colors, Greedy(g).Colors) {
+		t.Fatal("one worker must give Greedy's coloring")
+	}
+	kernels := []struct {
+		name  string
+		color func(p int) *Coloring
+	}{
+		{"distance-1", func(p int) *Coloring { return Parallel(g, p) }},
+		{"distance-2", func(p int) *Coloring { return ParallelDistance2(g, p) }},
+	}
+	for _, k := range kernels {
+		for _, p := range []int{2, 3, 4, 8} {
+			ref := k.color(p)
+			for rep := 0; rep < 5; rep++ {
+				if got := k.color(p); !slices.Equal(got.Colors, ref.Colors) {
+					t.Fatalf("%s p=%d: run %d colors differ from the first run's", k.name, p, rep+2)
+				}
+			}
+		}
 	}
 }
 

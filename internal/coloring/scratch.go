@@ -2,12 +2,13 @@ package coloring
 
 import "grappolo/internal/par"
 
-// Scratch owns the reusable working state of the coloring kernels: the color
-// and worklist arrays, the per-worker flat neighbor-color markers, the
-// conflict flags, the Jones–Plassmann priority/active arrays, the rebalance
-// proposal state, and the backing storage of the assembled Coloring (Colors,
-// Sets and the Coloring header itself). Buffers are sized by high-water mark,
-// so a Scratch reused across calls of the same shape allocates nothing.
+// Scratch owns the reusable working state of the coloring kernels: the
+// color, tentative-color and worklist arrays, the per-worker flat
+// neighbor-color markers, the conflict flags, the Jones–Plassmann
+// priority/active arrays, the rebalance proposal state, and the backing
+// storage of the assembled Coloring (Colors, Sets and the Coloring header
+// itself). Buffers are sized by high-water mark, so a Scratch reused across
+// calls of the same shape allocates nothing.
 //
 // Ownership rules:
 //
@@ -22,6 +23,7 @@ import "grappolo/internal/par"
 //   - A Scratch is not safe for concurrent use.
 type Scratch struct {
 	// shared kernel state
+	tent      []int32 // speculative rounds' tentative colors
 	worklist  []int32
 	conflicts []bool
 	markers   []*par.Marker

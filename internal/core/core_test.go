@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"grappolo/internal/generate"
@@ -107,6 +108,37 @@ func TestVFDeterministicAcrossWorkerCounts(t *testing.T) {
 	for i := range a.Membership {
 		if a.Membership[i] != b.Membership[i] {
 			t.Fatalf("membership differs at %d", i)
+		}
+	}
+}
+
+func TestColoredRunsRepeatForWorkerCount(t *testing.T) {
+	// A colored phase decides each color set against the aggregates at the
+	// set's start, over a coloring that is the same for a given worker
+	// count, so with integer weights every colored config repeats exactly.
+	g := generate.MustGenerate(generate.Channel, generate.Small, 0, 2)
+	cpm := func(o Options) Options { o.Objective, o.CPMGamma = ObjCPM, 0.1; return o }
+	variants := []struct {
+		name string
+		opts func(p int) Options
+	}{
+		{"vfcolor", func(p int) Options { return withColor(withVF(smallOpts(p))) }},
+		{"distance2", func(p int) Options { return withD2(withColor(smallOpts(p))) }},
+		{"balanced-arc", func(p int) Options { return withArcBalance(withColor(smallOpts(p))) }},
+		{"cpm-color", func(p int) Options { return cpm(withColor(smallOpts(p))) }},
+	}
+	for _, v := range variants {
+		for _, p := range []int{2, 3, 4} {
+			ref := Run(g, v.opts(p))
+			for rep := 0; rep < 4; rep++ {
+				got := Run(g, v.opts(p))
+				if got.Modularity != ref.Modularity || got.TotalIterations != ref.TotalIterations ||
+					!slices.Equal(got.Membership, ref.Membership) {
+					t.Fatalf("%s p=%d run %d: Q %v iters %d, first run Q %v iters %d (membership equal: %t)",
+						v.name, p, rep+2, got.Modularity, got.TotalIterations, ref.Modularity, ref.TotalIterations,
+						slices.Equal(got.Membership, ref.Membership))
+				}
+			}
 		}
 	}
 }

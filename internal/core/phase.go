@@ -19,7 +19,7 @@ type phaseState struct {
 	m        float64   // sum of edge weights (paper's m)
 	m2       float64   // total weight 2m, hoisted so reductions skip the per-element g.TotalWeight() load
 	curr     []int32   // C_curr: community of each vertex
-	prev     []int32   // C_prev: snapshot used for uncolored sweeps
+	prev     []int32   // C_prev: uncolored sweeps' snapshot; colored sweeps' staged decisions
 	commDeg  []float64 // a_C, atomically maintained during colored sweeps
 	size     []int64   // |C|, for the singlet minimum-label rule
 	gamma    float64
@@ -215,17 +215,19 @@ func (st *phaseState) decideSnap(i int, membership []int32, acc *par.SparseAccum
 	return st.bestModPlain(i, ci, acc), own
 }
 
-// decideLive is decideSnap's decision for colored sweeps: memberships are
-// stable (no two same-set vertices are adjacent) but community aggregates
-// mutate under concurrent applyMove, so they are read atomically.
+// decideLive is decideSnap's decision for colored sweeps, which read the
+// live assignment curr with the moves of earlier color sets in it. Nothing
+// moves while a set decides on several workers, and one worker moves its
+// set's members itself (see sweepColored), so memberships and aggregates
+// are read plainly.
 //
 //grappolo:hotpath
 func (st *phaseState) decideLive(i int, membership []int32, acc *par.SparseAccum) int32 {
 	ci, _ := st.accumSnap(i, membership, acc)
 	if st.obj == ObjCPM {
-		return st.bestCPMAtomic(i, ci, acc)
+		return st.bestCPMPlain(i, ci, acc)
 	}
-	return st.bestModAtomic(i, ci, acc)
+	return st.bestModPlain(i, ci, acc)
 }
 
 // decideAsync is decideSnap's decision for asynchronous live-state sweeps:
@@ -375,8 +377,8 @@ func (st *phaseState) bestModPlain(i int, ci int32, acc *par.SparseAccum) int32 
 	return best
 }
 
-// bestModAtomic is bestModPlain with atomic aggregate reads (colored and
-// async sweeps mutate commDeg/size concurrently).
+// bestModAtomic is bestModPlain with atomic aggregate reads (async sweeps
+// mutate commDeg/size concurrently).
 //
 //grappolo:hotpath
 func (st *phaseState) bestModAtomic(i int, ci int32, acc *par.SparseAccum) int32 {
@@ -544,24 +546,37 @@ func (st *phaseState) sweepUncolored(workers int) {
 	})
 }
 
-// sweepColoredSet processes one color set: vertices decide in parallel
-// reading the LIVE community state and update the aggregates atomically on
-// migration.
+// decideColoredSet and applyColoredSet are the two stages of one color set
+// (see sweepColored) over members lo..hi-1 of curSet.
 //
 //grappolo:hotpath
-func sweepColoredSet(st *phaseState, w, lo, hi int) { st.moveSet(st.curSet, w, lo, hi) }
+func decideColoredSet(st *phaseState, w, lo, hi int) { st.decideSet(st.curSet, w, lo, hi) }
 
-// sweepMergedSet is sweepColoredSet for one stage of a merged run of small
-// color sets: the set comes from the staged pass instead of curSet.
-//
 //grappolo:hotpath
-func sweepMergedSet(st *phaseState, s, w, lo, hi int) { st.moveSet(st.mergeSets[s], w, lo, hi) }
+func applyColoredSet(st *phaseState, lo, hi int) { st.applySet(st.curSet, lo, hi) }
 
-// moveSet is the body both colored-set schedulers run: members lo..hi-1 of
-// one color set decide on worker w's accumulator and migrate.
+// sweepMergedStage is one stage of a merged run of small color sets: stage
+// 2k decides set k of mergeSets and stage 2k+1 applies it.
 //
 //grappolo:hotpath
-func (st *phaseState) moveSet(set []int32, w, lo, hi int) {
+func sweepMergedStage(st *phaseState, s, w, lo, hi int) {
+	set := st.mergeSets[s/2]
+	if s%2 == 0 {
+		st.decideSet(set, w, lo, hi)
+	} else {
+		st.applySet(set, lo, hi)
+	}
+}
+
+// mergedStageLen is the stage-size hook for the merged small-set pass.
+func mergedStageLen(st *phaseState, s int) int { return len(st.mergeSets[s/2]) }
+
+// decideSet records in prev the community each of members lo..hi-1 of one
+// color set moves to, deciding on worker w's accumulator against curr and
+// the aggregates as they stood when the set began.
+//
+//grappolo:hotpath
+func (st *phaseState) decideSet(set []int32, w, lo, hi int) {
 	if st.stop() { // per-chunk cancellation check; results are discarded
 		return
 	}
@@ -571,9 +586,42 @@ func (st *phaseState) moveSet(set []int32, w, lo, hi int) {
 		if st.pref && t+1 < hi {
 			st.prefetchRow(int(set[t+1]), st.curr) // hints land while i decides
 		}
+		st.prev[i] = st.decideLive(i, st.curr, acc)
+	}
+}
+
+// applySet moves members lo..hi-1 of one color set to the communities
+// decideSet recorded, updating the aggregates atomically.
+//
+//grappolo:hotpath
+func (st *phaseState) applySet(set []int32, lo, hi int) {
+	// A decide chunk skipped on cancellation left stale decisions; the
+	// latched flag skips every apply chunk after it.
+	if st.stop() {
+		return
+	}
+	for t := lo; t < hi; t++ {
+		i := int(set[t])
+		if old, next := st.curr[i], st.prev[i]; next != old {
+			st.applyMove(i, old, next)
+			st.curr[i] = next
+		}
+	}
+}
+
+// moveSet is the one-worker colored sweep of one color set: each member
+// decides against the moves of the members before it and migrates at once.
+//
+//grappolo:hotpath
+func (st *phaseState) moveSet(set []int32) {
+	acc := st.scratch[0]
+	for t, v := range set {
+		i := int(v)
+		if st.pref && t+1 < len(set) {
+			st.prefetchRow(int(set[t+1]), st.curr) // hints land while i decides
+		}
 		old := st.curr[i]
-		next := st.decideLive(i, st.curr, acc)
-		if next != old {
+		if next := st.decideLive(i, st.curr, acc); next != old {
 			st.applyMove(i, old, next)
 			st.curr[i] = next
 		}
@@ -582,28 +630,52 @@ func (st *phaseState) moveSet(set []int32, w, lo, hi int) {
 
 // colorMergeCutoff is the vertex count below which consecutive color sets
 // are folded into one staged pass (par.ForStagesCtx) instead of each paying
-// a full parallel-for fork/join. Greedy colorings produce a long tail of
-// tiny sets — a few hundred vertices each — whose per-set barrier costs
-// more than their work; 2048 vertices is comfortably past the point where
-// the fork/join amortizes. Sets still execute serially in color order with
-// a barrier between them (the moves of set k must be visible to set k+1),
-// they merely share one worker team.
+// a full parallel-for fork/join per stage. Greedy colorings produce a long
+// tail of tiny sets — a few hundred vertices each — whose per-set barriers
+// cost more than their work; 2048 vertices is comfortably past the point
+// where the fork/join amortizes. Sets still execute serially in color order
+// with barriers between their stages (the moves of set k must be visible to
+// set k+1), they merely share one worker team.
 const colorMergeCutoff = 2048
 
 // sweepColored performs one full iteration over color sets: sets are
-// processed in order; inside a set vertices decide in parallel reading the
-// LIVE community state (earlier sets' moves are visible, §5.4 step 3).
-// Within a set, chunks are balanced by member arc counts (prefix sum over
-// OutDegree into the pooled colorPrefix buffers) — unless the coloring was
-// arc-rebalanced (arcEvenSets), in which case the sets are already even by
-// construction and plain dynamic count chunks skip both the prefix build
-// and the binary-search chunking. Runs of sets smaller than
+// processed in order, and earlier sets' moves are visible to later ones
+// (§5.4 step 3). With one worker, the members of a set decide and move in
+// order, each seeing the moves before it (moveSet): that order is already
+// fixed, and the serving tiers' Workers(1) engines ran about a fifth slower
+// on the two-stage form below. With more workers, each set
+// runs in two stages with a barrier between them: its members decide in
+// parallel against curr and the aggregates as they stood when the set
+// began, recording their choices in prev, and then apply them. No two
+// members of a set are adjacent, so a member's move cannot change what
+// another member reads of curr; deciding before any member moves keeps the
+// aggregates still as well. A set's moves therefore do not depend on how
+// its members are scheduled, and with integer edge weights the applied
+// aggregates are exact: a colored sweep's outcome is the same on every run
+// for a given coloring and worker count. With non-integer weights and
+// several workers, the atomic float adds of the apply stage land in
+// scheduling order, as in refreshAggregates.
+//
+// Within a set, decide chunks are balanced by member arc counts (prefix
+// sum over OutDegree into the pooled colorPrefix buffers) — unless the
+// coloring was arc-rebalanced (arcEvenSets), in which case the sets are
+// already even by construction and plain dynamic count chunks skip both the
+// prefix build and the binary-search chunking. Runs of sets smaller than
 // colorMergeCutoff share one worker team via par.ForStagesCtx (see the
 // constant's comment).
 //
 // The sweep starts from the aggregates in place, which must be curr's: score
 // leaves them so, as does reset for the singleton start.
 func (st *phaseState) sweepColored(sets [][]int32, workers int) {
+	if par.Workers(workers, st.g.N()) == 1 {
+		for _, set := range sets {
+			if st.stop() { // see the color-set barrier below
+				break
+			}
+			st.moveSet(set)
+		}
+		return
+	}
 	if !st.arcEvenSets && !st.prefixReady {
 		total := 0
 		for _, set := range sets {
@@ -650,7 +722,7 @@ func (st *phaseState) sweepColored(sets [][]int32, workers int) {
 		}
 		if sj-si >= 2 {
 			st.mergeSets = sets[si:sj]
-			par.ForStagesCtx(st, sj-si, mergedSetLen, workers, sweepMergedSet)
+			par.ForStagesCtx(st, 2*(sj-si), mergedStageLen, workers, sweepMergedStage)
 			st.mergeSets = nil
 			si = sj
 			continue
@@ -658,17 +730,15 @@ func (st *phaseState) sweepColored(sets [][]int32, workers int) {
 		set := sets[si]
 		st.curSet = set
 		if st.arcEvenSets {
-			par.ForChunkWorkerCtx(st, len(set), workers, 0, sweepColoredSet)
+			par.ForChunkWorkerCtx(st, len(set), workers, 0, decideColoredSet)
 		} else {
-			par.ForChunkPrefixCtx(st, st.colorPrefix[si], workers, sweepColoredSet)
+			par.ForChunkPrefixCtx(st, st.colorPrefix[si], workers, decideColoredSet)
 		}
+		par.ForChunkCtx(st, len(set), workers, 0, applyColoredSet)
 		si++
 	}
 	st.curSet = nil
 }
-
-// mergedSetLen is the stage-size hook for the merged small-set pass.
-func mergedSetLen(st *phaseState, s int) int { return len(st.mergeSets[s]) }
 
 // sweepAsync performs one full iteration of asynchronous live-state local
 // moves (the PLM emulation, §7): every vertex decides from whatever its

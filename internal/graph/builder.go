@@ -203,6 +203,12 @@ func FromCSR(offsets []int64, adj []int32, weights []float64, p int, check bool)
 // nil, in which case a fresh Graph is built. Any prior contents of dst are
 // invalidated; callers must not retain views of the previous graph.
 func FromCSRInto(dst *Graph, offsets []int64, adj []int32, weights []float64, p int, check bool) (*Graph, error) {
+	if check {
+		// finish slices every row, so malformed offsets must fail first.
+		if err := checkOffsets(offsets, len(adj), len(weights)); err != nil {
+			return nil, fmt.Errorf("graph: invalid CSR input: %w", err)
+		}
+	}
 	if dst == nil {
 		dst = &Graph{}
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -57,5 +58,32 @@ func TestBinaryCorruptedAdjacencyCaughtByValidate(t *testing.T) {
 	data[56] ^= 0x7f
 	if _, err := ReadBinary(bytes.NewReader(data), 1); err == nil {
 		t.Fatal("corrupted adjacency accepted (Validate should reject)")
+	}
+}
+
+// TestBinaryLyingHeaderRejected pins that header counts are bounded by the
+// bytes behind them: a vertex count past int32 ids is refused outright, and
+// an oversized count fails at EOF instead of allocating what it claims.
+// Offsets that do not index the adjacency are an error, not a panic.
+func TestBinaryLyingHeaderRejected(t *testing.T) {
+	header := func(n, arcs uint64, rest ...int64) []byte {
+		var buf bytes.Buffer
+		binary.Write(&buf, binary.LittleEndian, []uint64{binMagic, n, arcs})
+		binary.Write(&buf, binary.LittleEndian, rest)
+		return buf.Bytes()
+	}
+	cases := map[string][]byte{
+		"n-1<<62":          header(1<<62, 0),
+		"n-past-int32":     header(1<<31, 0),
+		"n-1<<30-no-data":  header(1<<30, 0),
+		"arcs-1<<40":       header(1, 1<<40, 0, 1),
+		"offsets-overrun":  append(header(1, 1, 0, 5), make([]byte, 12)...),
+		"offsets-decrease": append(header(2, 1, 0, 1, 0), make([]byte, 12)...),
+		"offsets-nonzero":  append(header(1, 1, 1, 1), make([]byte, 12)...),
+	}
+	for name, data := range cases {
+		if _, err := ReadBinary(bytes.NewReader(data), 1); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

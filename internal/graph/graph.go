@@ -127,18 +127,10 @@ func (g *Graph) EdgeWeight(i, j int) (float64, bool) {
 // matching j→i arc of equal weight). It is used by tests and after file
 // loads; algorithms assume a valid graph.
 func (g *Graph) Validate() error {
+	if err := checkOffsets(g.offsets, len(g.adj), len(g.weights)); err != nil {
+		return err
+	}
 	n := g.N()
-	if len(g.offsets) != n+1 || g.offsets[0] != 0 {
-		return fmt.Errorf("graph: bad offsets header")
-	}
-	for i := 0; i < n; i++ {
-		if g.offsets[i] > g.offsets[i+1] {
-			return fmt.Errorf("graph: offsets not monotone at %d", i)
-		}
-	}
-	if g.offsets[n] != int64(len(g.adj)) || len(g.adj) != len(g.weights) {
-		return fmt.Errorf("graph: adjacency length mismatch")
-	}
 	var sum float64
 	for i := 0; i < n; i++ {
 		nbr, w := g.Neighbors(i)
@@ -168,6 +160,23 @@ func (g *Graph) Validate() error {
 	}
 	if math.Abs(sum-g.totalW) > 1e-6*(1+math.Abs(g.totalW)) {
 		return fmt.Errorf("graph: cached total weight %v != recomputed %v", g.totalW, sum)
+	}
+	return nil
+}
+
+// checkOffsets checks the CSR row index on its own: it starts at 0, never
+// decreases, and ends at the adjacency length, which the weights match.
+func checkOffsets(offsets []int64, adjLen, weightsLen int) error {
+	if len(offsets) == 0 || offsets[0] != 0 {
+		return fmt.Errorf("graph: bad offsets header")
+	}
+	for i := 1; i < len(offsets); i++ {
+		if offsets[i-1] > offsets[i] {
+			return fmt.Errorf("graph: offsets not monotone at %d", i-1)
+		}
+	}
+	if offsets[len(offsets)-1] != int64(adjLen) || adjLen != weightsLen {
+		return fmt.Errorf("graph: adjacency length mismatch")
 	}
 	return nil
 }

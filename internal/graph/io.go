@@ -5,14 +5,18 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
 
 // ReadEdgeList parses a whitespace-separated edge list: one "u v [w]" per
 // line, 0-based vertex ids, '#' or '%' comment lines ignored. Lines with a
-// third field use it as the weight; otherwise weight 1 (paper §2).
+// third field use it as the weight; otherwise weight 1 (paper §2). A
+// negative id, a weight that is not a positive finite number, or edges
+// whose total weight overflows are errors.
 func ReadEdgeList(r io.Reader, p int) (*Graph, error) {
 	b := &Builder{}
 	sc := bufio.NewScanner(r)
@@ -36,14 +40,13 @@ func ReadEdgeList(r io.Reader, p int) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: bad vertex %q: %w", lineNo, fields[1], err)
 		}
+		if u < 0 || v < 0 {
+			return nil, fmt.Errorf("graph: line %d: negative vertex id in %q", lineNo, line)
+		}
 		w := 1.0
 		if len(fields) >= 3 {
-			w, err = strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad weight %q: %w", lineNo, fields[2], err)
-			}
-			if w <= 0 {
-				return nil, fmt.Errorf("graph: line %d: non-positive weight %v", lineNo, w)
+			if w, err = parseWeight(fields[2]); err != nil {
+				return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
 			}
 		}
 		b.AddEdge(int32(u), int32(v), w)
@@ -51,7 +54,29 @@ func ReadEdgeList(r io.Reader, p int) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: scanning edge list: %w", err)
 	}
-	return b.Build(p), nil
+	return finiteTotal(b.Build(p))
+}
+
+// parseWeight parses an edge weight, which must be a positive finite number.
+func parseWeight(field string) (float64, error) {
+	w, err := strconv.ParseFloat(field, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad weight %q: %w", field, err)
+	}
+	if !(w > 0) || math.IsInf(w, 1) {
+		return 0, fmt.Errorf("weight %v is not a positive finite number", w)
+	}
+	return w, nil
+}
+
+// finiteTotal returns g, or an error when its total weight is not finite:
+// finite weights can still overflow when summed, and no detection run can
+// score such a graph.
+func finiteTotal(g *Graph) (*Graph, error) {
+	if w := g.TotalWeight(); math.IsNaN(w) || math.IsInf(w, 0) {
+		return nil, fmt.Errorf("graph: total edge weight %v is not finite", w)
+	}
+	return g, nil
 }
 
 // WriteEdgeList writes the graph as "u v w" lines, emitting each undirected
@@ -74,7 +99,9 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 // ReadMETIS parses the METIS/DIMACS10 graph format used by the paper's
 // input suite: a header "n m [fmt]" followed by n adjacency lines of
 // 1-based neighbor ids, optionally interleaved with weights when fmt
-// includes edge weights (fmt "1" or "11"; vertex weights are skipped).
+// includes edge weights (fmt "1" or "11"; vertex weights are skipped). A
+// blank adjacency line is an isolated vertex; blank lines after the n-th
+// are ignored. Edge weights follow ReadEdgeList's rule.
 func ReadMETIS(r io.Reader, p int) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -85,7 +112,10 @@ func ReadMETIS(r io.Reader, p int) (*Graph, error) {
 	vertex := 0
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == '%' {
+		if line != "" && line[0] == '%' {
+			continue
+		}
+		if line == "" && (!headerRead || vertex >= n) {
 			continue
 		}
 		fields := strings.Fields(line)
@@ -96,6 +126,9 @@ func ReadMETIS(r io.Reader, p int) (*Graph, error) {
 			nv, err := strconv.Atoi(fields[0])
 			if err != nil {
 				return nil, fmt.Errorf("graph: METIS header n: %w", err)
+			}
+			if nv < 0 || nv > math.MaxInt32 {
+				return nil, fmt.Errorf("graph: METIS header n = %d outside [0, %d]", nv, math.MaxInt32)
 			}
 			n = nv
 			if len(fields) >= 3 {
@@ -131,9 +164,8 @@ func ReadMETIS(r io.Reader, p int) (*Graph, error) {
 				if idx+1 >= len(fields) {
 					return nil, fmt.Errorf("graph: METIS vertex %d: missing weight", vertex+1)
 				}
-				w, err = strconv.ParseFloat(fields[idx+1], 64)
-				if err != nil {
-					return nil, fmt.Errorf("graph: METIS vertex %d: bad weight: %w", vertex+1, err)
+				if w, err = parseWeight(fields[idx+1]); err != nil {
+					return nil, fmt.Errorf("graph: METIS vertex %d: %w", vertex+1, err)
 				}
 			}
 			// Each undirected edge appears in both adjacency lines; keep the
@@ -150,7 +182,7 @@ func ReadMETIS(r io.Reader, p int) (*Graph, error) {
 	if !headerRead {
 		return nil, fmt.Errorf("graph: empty METIS input")
 	}
-	return b.Build(p), nil
+	return finiteTotal(b.Build(p))
 }
 
 // WriteMETIS writes the graph in METIS/DIMACS10 format with edge weights
@@ -206,7 +238,9 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadBinary deserializes a graph written by WriteBinary.
+// ReadBinary deserializes a graph written by WriteBinary. The arrays are
+// read in bounded chunks, so a header that claims more data than the input
+// holds fails with an EOF error before any large allocation.
 func ReadBinary(r io.Reader, p int) (*Graph, error) {
 	br := bufio.NewReader(r)
 	var magic, n, arcs uint64
@@ -218,19 +252,43 @@ func ReadBinary(r io.Reader, p int) (*Graph, error) {
 	if magic != binMagic {
 		return nil, fmt.Errorf("graph: bad magic %#x", magic)
 	}
-	offsets := make([]int64, n+1)
-	adj := make([]int32, arcs)
-	weights := make([]float64, arcs)
-	if err := binary.Read(br, binary.LittleEndian, offsets); err != nil {
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: binary header n = %d exceeds %d", n, math.MaxInt32)
+	}
+	offsets, err := readChunked[int64](br, n+1)
+	if err != nil {
 		return nil, fmt.Errorf("graph: binary offsets: %w", err)
 	}
-	if err := binary.Read(br, binary.LittleEndian, adj); err != nil {
+	adj, err := readChunked[int32](br, arcs)
+	if err != nil {
 		return nil, fmt.Errorf("graph: binary adjacency: %w", err)
 	}
-	if err := binary.Read(br, binary.LittleEndian, weights); err != nil {
+	weights, err := readChunked[float64](br, arcs)
+	if err != nil {
 		return nil, fmt.Errorf("graph: binary weights: %w", err)
 	}
-	return FromCSR(offsets, adj, weights, p, true)
+	g, err := FromCSR(offsets, adj, weights, p, true)
+	if err != nil {
+		return nil, err
+	}
+	return finiteTotal(g)
+}
+
+// readChunked reads count little-endian values, growing the slice one
+// bounded chunk at a time: memory tracks the bytes actually read, not the
+// count a header claims.
+func readChunked[T int32 | int64 | float64](r io.Reader, count uint64) ([]T, error) {
+	const chunk = 1 << 16
+	var out []T
+	for uint64(len(out)) < count {
+		k := int(min(count-uint64(len(out)), chunk))
+		out = slices.Grow(out, k)
+		if err := binary.Read(r, binary.LittleEndian, out[len(out):len(out)+k]); err != nil {
+			return nil, err
+		}
+		out = out[:len(out)+k]
+	}
+	return out, nil
 }
 
 // LoadFile reads a graph from path, dispatching on extension: ".graph" or

@@ -46,11 +46,16 @@ func TestReadEdgeListCommentsAndWeights(t *testing.T) {
 
 func TestReadEdgeListErrors(t *testing.T) {
 	cases := []string{
-		"0\n",        // too few fields
-		"a b\n",      // bad vertex
-		"0 x\n",      // bad vertex
-		"0 1 zero\n", // bad weight
-		"0 1 -2\n",   // non-positive weight
+		"0\n",                    // too few fields
+		"a b\n",                  // bad vertex
+		"0 x\n",                  // bad vertex
+		"0 1 zero\n",             // bad weight
+		"0 1 -2\n",               // non-positive weight
+		"-1 2\n",                 // negative vertex id
+		"0 -2\n",                 // negative vertex id
+		"0 1 NaN\n",              // non-finite weight
+		"0 1 +Inf\n",             // non-finite weight
+		"0 1 1e308\n0 1 1e308\n", // finite weights whose merged sum overflows
 	}
 	for _, in := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(in), 1); err == nil {
@@ -109,11 +114,18 @@ func TestReadMETISVertexAndEdgeWeights(t *testing.T) {
 
 func TestReadMETISErrors(t *testing.T) {
 	cases := []string{
-		"",            // empty
-		"3\n",         // short header
-		"1 0\n2\n",    // neighbor out of range
-		"1 0\nx\n",    // bad neighbor
-		"1 0\n1\n1\n", // more adjacency lines than n
+		"",                      // empty
+		"3\n",                   // short header
+		"1 0\n2\n",              // neighbor out of range
+		"1 0\nx\n",              // bad neighbor
+		"1 0\n1\n1\n",           // more adjacency lines than n
+		"-3 2\n",                // negative vertex count
+		"4294967296 0\n",        // vertex count beyond int32 ids
+		"2 1 1\n2 -3\n1 -3\n",   // negative weight
+		"2 1 1\n2 0\n1 0\n",     // zero weight
+		"2 1 1\n2 NaN\n1 NaN\n", // non-finite weight
+		"2 1 1\n2 Inf\n1 Inf\n", // non-finite weight
+		"3 2\n2\n\n\n2\n",       // a blank line is a vertex: four lines for n = 3
 	}
 	for _, in := range cases {
 		if _, err := ReadMETIS(strings.NewReader(in), 1); err == nil {
@@ -122,17 +134,47 @@ func TestReadMETISErrors(t *testing.T) {
 	}
 }
 
+// TestMETISRoundTrip round-trips graphs through WriteMETIS and ReadMETIS. A
+// blank adjacency line is an isolated vertex: skipping it would charge
+// every later line to the wrong vertex.
 func TestMETISRoundTrip(t *testing.T) {
-	g := triangle(t)
-	var buf bytes.Buffer
-	if err := WriteMETIS(&buf, g); err != nil {
-		t.Fatal(err)
+	build := func(n int, edges ...[2]int32) *Graph {
+		b := NewBuilder(n)
+		for _, e := range edges {
+			b.AddEdge(e[0], e[1], 1)
+		}
+		return b.Build(1)
 	}
-	g2, err := ReadMETIS(&buf, 2)
+	cases := map[string]*Graph{
+		"triangle":        triangle(t),
+		"isolated-first":  build(3, [2]int32{1, 2}),
+		"isolated-middle": build(5, [2]int32{0, 1}, [2]int32{3, 4}, [2]int32{0, 4}),
+		"isolated-last":   build(4, [2]int32{0, 1}, [2]int32{1, 2}),
+		"all-isolated":    build(3),
+	}
+	for name, g := range cases {
+		var buf bytes.Buffer
+		if err := WriteMETIS(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		text := buf.String()
+		g2, err := ReadMETIS(&buf, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if g2.N() != g.N() || g2.ArcCount() != g.ArcCount() {
+			t.Fatalf("%s: %q read back as n=%d arcs=%d, want n=%d arcs=%d", name, text, g2.N(), g2.ArcCount(), g.N(), g.ArcCount())
+		}
+		assertSameGraph(t, g, g2)
+	}
+	// Blank lines after the n-th adjacency line are not vertices.
+	g, err := ReadMETIS(strings.NewReader("3 1 1\n\n3 1\n2 1\n\n\n"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameGraph(t, g, g2)
+	if g.N() != 3 || !g.HasEdge(1, 2) || g.ArcCount() != 2 {
+		t.Fatalf("n=%d arcs=%d, want the single edge 1-2 on 3 vertices", g.N(), g.ArcCount())
+	}
 }
 
 func TestMETISRoundTripWeighted(t *testing.T) {

@@ -65,11 +65,10 @@ type Options struct {
 	Scale   generate.Scale
 	Workers int
 	Seed    uint64
-	// ColoringCutoff overrides the coloring vertex cutoff; needed because
-	// the paper's 100 K default would disable coloring entirely on the
-	// laptop-scale suite. <= 0 keeps the core default.
-	ColoringCutoff int
-	// ColoredThreshold overrides the colored-phase threshold (Table 5).
+	// ColoringCutoff and ColoredThreshold set the coloring vertex cutoff
+	// and the colored-phase threshold (Table 5 varies the latter). Defaults
+	// pins the paper's §6.1 policy, scaled to the suite.
+	ColoringCutoff   int
 	ColoredThreshold float64
 	// MaxPhases/MaxIterations bound runaway experiments (0 = unlimited).
 	MaxPhases     int
@@ -102,14 +101,18 @@ func (o Options) coreOptions(s Scheme) core.Options {
 	return c
 }
 
-// Defaults fills in the harness defaults: Small scale, 4 workers, coloring
-// cutoff scaled for synthetic inputs.
+// Defaults fills in the harness defaults: Small scale, 4 workers, and the
+// paper's §6.1 coloring policy with its vertex cutoff scaled for synthetic
+// inputs.
 func (o Options) Defaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = 4
 	}
 	if o.ColoringCutoff <= 0 {
 		o.ColoringCutoff = 64 // color any phase with >= 64 vertices
+	}
+	if o.ColoredThreshold <= 0 {
+		o.ColoredThreshold = 1e-2
 	}
 	return o
 }

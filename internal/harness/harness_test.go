@@ -38,6 +38,17 @@ func TestRunSchemeAllSchemes(t *testing.T) {
 	}
 }
 
+// TestDefaultsPinPaperColoringPolicy pins that the paper-table runs keep
+// the paper's §6.1 policy (colored threshold 1e-2, scaled vertex cutoff)
+// whatever the library's defaults are.
+func TestDefaultsPinPaperColoringPolicy(t *testing.T) {
+	c := Options{}.Defaults().coreOptions(BaselineVFColor)
+	if c.ColoredThreshold != 1e-2 || c.ColoringVertexCutoff != 64 {
+		t.Fatalf("colored threshold %v, vertex cutoff %d; want the paper's 1e-2 and the suite's 64",
+			c.ColoredThreshold, c.ColoringVertexCutoff)
+	}
+}
+
 func TestRunSchemePanicsOnBadScheme(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -91,9 +91,12 @@ func VFChains() Option {
 }
 
 // Coloring enables coloring preprocessing with the given algorithm under the
-// paper's multi-phase policy: phases stay colored while they deliver at
-// least the colored threshold of gain and their input exceeds the vertex
-// cutoff. Coloring(NoColoring) disables preprocessing explicitly.
+// paper's multi-phase policy (§6.1): phases stay colored while they deliver
+// at least the colored threshold of gain (default 1e-3), then the remaining
+// phases run uncolored to the final threshold. By default no vertex cutoff
+// applies; ColoringCutoff adds one. The paper used a cutoff of 100,000 and
+// a threshold of 1e-2 on inputs of 325K–52M vertices.
+// Coloring(NoColoring) disables preprocessing explicitly.
 func Coloring(k ColoringKind) Option {
 	return func(c *config) error {
 		c.opts.Distance2Coloring = false
@@ -128,7 +131,9 @@ func FirstPhaseColoring() Option {
 }
 
 // ColoringCutoff stops coloring once a phase's input has fewer than n
-// vertices (default 100000, the paper's setting). n must be positive.
+// vertices. By default there is no cutoff and only the colored threshold
+// ends coloring; the paper used 100,000 on inputs of 325K–52M vertices.
+// n must be positive.
 func ColoringCutoff(n int) Option {
 	return func(c *config) error {
 		if n <= 0 {
@@ -172,8 +177,9 @@ func AutoBalanceThreshold(rsd float64) Option {
 }
 
 // Thresholds sets the modularity-gain termination thresholds: colored for
-// colored phases (paper default 1e-2), final for uncolored phases (paper
-// default 1e-6). Zero keeps a default; negative values are an error.
+// colored phases (default 1e-3; the paper used 1e-2 on inputs of
+// 325K–52M vertices), final for uncolored phases (paper default 1e-6).
+// Zero keeps a default; negative values are an error.
 func Thresholds(colored, final float64) Option {
 	return func(c *config) error {
 		if colored < 0 || final < 0 {

@@ -131,8 +131,8 @@ func (p *Pool) Detect(ctx context.Context, g *Graph) (*Result, error) {
 // in makes warm same-shape requests allocate nothing at all. A nil res
 // allocates a fresh Result.
 func (p *Pool) DetectInto(ctx context.Context, g *Graph, res *Result) (*Result, error) {
-	if g == nil {
-		return nil, ErrNilGraph
+	if err := checkGraph(g); err != nil {
+		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()

@@ -29,11 +29,12 @@ type SerialResult struct {
 // (cmd/grappolo's -serial and -compare modes); production callers want a
 // Detector, Pool or Guard. threshold is the minimum net modularity gain
 // required to continue (<= 0 selects the paper's default 1e-6). A nil graph
-// returns ErrNilGraph like every other detection entry point, and a
-// threshold that is not a finite number returns an *InputError.
+// returns ErrNilGraph like every other detection entry point, and a graph
+// whose total edge weight is not finite, or a threshold that is not a
+// finite number, returns an *InputError.
 func DetectSerial(g *Graph, threshold float64) (*SerialResult, error) {
-	if g == nil {
-		return nil, ErrNilGraph
+	if err := checkGraph(g); err != nil {
+		return nil, err
 	}
 	if math.IsNaN(threshold) || math.IsInf(threshold, 0) {
 		return nil, &InputError{Arg: "threshold", Reason: fmt.Sprintf("%v is not a finite number", threshold)}

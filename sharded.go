@@ -152,8 +152,8 @@ func (s *Sharded) Detect(ctx context.Context, g *Graph) (*Result, error) {
 // master merge's; Phases, Timing and Levels are not populated (the shard
 // pipeline has no single engine trace).
 func (s *Sharded) DetectInto(ctx context.Context, g *Graph, res *Result) (*Result, error) {
-	if g == nil {
-		return nil, ErrNilGraph
+	if err := checkGraph(g); err != nil {
+		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()

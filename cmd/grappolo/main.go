@@ -95,6 +95,13 @@ func run(args []string) error {
 	if math.IsNaN(*threshold) || math.IsInf(*threshold, 0) {
 		return fmt.Errorf("-threshold %v is not a finite number", *threshold)
 	}
+	// 0 selects the default; a negative value would be dropped silently.
+	if *threshold < 0 {
+		return fmt.Errorf("-threshold %v is negative (0 = default)", *threshold)
+	}
+	if *cutoff < 0 {
+		return fmt.Errorf("-color-cutoff %d is negative (0 = no cutoff)", *cutoff)
+	}
 
 	g, err := loadGraph(*file, *input, *scale, *seed, *workers)
 	if err != nil {

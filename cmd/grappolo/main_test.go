@@ -107,6 +107,9 @@ func TestRunErrors(t *testing.T) {
 		{"-input", "rgg", "-out", "/dev/null/x"},          // unwritable out
 		{"-input", "rgg", "-threshold", "NaN"},            // non-finite threshold, parallel
 		{"-input", "rgg", "-serial", "-threshold", "NaN"}, // non-finite threshold, serial
+		{"-input", "rgg", "-threshold", "-1"},             // negative threshold, parallel
+		{"-input", "rgg", "-serial", "-threshold", "-1"},  // negative threshold, serial
+		{"-input", "rgg", "-color-cutoff", "-5"},          // negative coloring cutoff
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

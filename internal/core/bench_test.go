@@ -53,7 +53,7 @@ func TestDecideSteadyStateZeroAllocs(t *testing.T) {
 		}},
 		{"decideLive", func() {
 			for i := 0; i < n; i++ {
-				st.curr[i] = st.decideLive(i, st.prev, acc)
+				st.curr[i], _ = st.decideLive(i, st.prev, acc)
 			}
 		}},
 		{"decideAsync", func() {

@@ -54,6 +54,7 @@ type Engine struct {
 	// vertex-following scratch.
 	vfParent []int32
 	vfMerged int64
+	vfLoopAt []int64
 	vfc      vfCtx // VF loop context (pointer-passed)
 
 	fold foldCtx // membership-fold loop context (pointer-passed)
@@ -328,8 +329,11 @@ func (e *Engine) runPhase(g *graph.Graph, threshold float64, colorSets *coloring
 // and memberships are those of scoring each state right after the sweep
 // that made it; the phase pays one extra sweep instead of a scoring pass
 // over every arc per iteration. Colored and async phases score each state
-// after the sweep that made it, and that score leaves the aggregates the
-// next sweep starts from.
+// after the sweep that made it. A colored phase scores its starting state
+// once in full and every later state from the moves of the sweep that made
+// it (scoreMoves); an async phase's adjacent vertices move at the same
+// time, so it scores every state in full, and that score leaves the
+// aggregates the next sweep starts from.
 func (e *Engine) iterate(cs *coloring.Coloring, async bool, threshold float64, trace *[]float64) (int, float64, bool) {
 	st := &e.st
 	workers := e.opts.Workers
@@ -338,7 +342,7 @@ func (e *Engine) iterate(cs *coloring.Coloring, async bool, threshold float64, t
 	var q float64
 	if snapshot {
 		st.sweepUncolored(workers)
-		q = st.reduceScore(sweptWithin, workers)
+		q = st.reduceScore(st.sweptTotal(workers), workers)
 	} else {
 		q = st.score(workers)
 	}
@@ -351,13 +355,13 @@ func (e *Engine) iterate(cs *coloring.Coloring, async bool, threshold float64, t
 		switch {
 		case cs != nil:
 			st.sweepColored(cs.Sets, workers)
-			next = st.score(workers)
+			next = st.scoreMoves(workers)
 		case async:
 			st.sweepAsync(workers)
 			next = st.score(workers)
 		default:
 			st.sweepUncolored(workers)
-			next = st.reduceScore(sweptWithin, workers)
+			next = st.reduceScore(st.sweptTotal(workers), workers)
 		}
 		iters++
 		if trace != nil {

@@ -111,21 +111,31 @@ func TestEngineRunSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
 	}
-	g := generate.MustGenerate(generate.RGG, generate.Small, 0, 1)
-	for name, o := range map[string]Options{
-		"baseline":  {Workers: 1},
-		"hierarchy": {Workers: 1, KeepHierarchy: true},
-		"vfcolor-arc": {Workers: 1, VertexFollowing: true, VFChainCompression: true,
-			Coloring: ColorMultiPhase, ColoringVertexCutoff: 1, ColorBalance: BalanceArcs},
-		"vfcolor-auto": {Workers: 1, VertexFollowing: true,
-			Coloring: ColorMultiPhase, ColoringVertexCutoff: 1, ColorBalance: BalanceAuto},
-		"cpm": {Workers: 1, Objective: ObjCPM, CPMGamma: 0.5},
-		"cpm-color": {Workers: 1, Objective: ObjCPM, CPMGamma: 0.5,
-			Coloring: ColorMultiPhase, ColoringVertexCutoff: 1},
-		"plm": PLM(1),
-		"vfcolor": {Workers: 1, VertexFollowing: true,
-			Coloring: ColorMultiPhase, ColoringVertexCutoff: 1},
+	rgg := generate.MustGenerate(generate.RGG, generate.Small, 0, 1)
+	// VF merges no vertex of RGG Small; the europe rows coarsen with it.
+	europe := generate.MustGenerate(generate.EuropeOSM, generate.Small, 0, 1)
+	for name, row := range map[string]struct {
+		g *graph.Graph
+		o Options
+	}{
+		"baseline":  {rgg, Options{Workers: 1}},
+		"hierarchy": {rgg, Options{Workers: 1, KeepHierarchy: true}},
+		"vfcolor-arc": {rgg, Options{Workers: 1, VertexFollowing: true, VFChainCompression: true,
+			Coloring: ColorMultiPhase, ColoringVertexCutoff: 1, ColorBalance: BalanceArcs}},
+		"vfcolor-auto": {rgg, Options{Workers: 1, VertexFollowing: true,
+			Coloring: ColorMultiPhase, ColoringVertexCutoff: 1, ColorBalance: BalanceAuto}},
+		"cpm": {rgg, Options{Workers: 1, Objective: ObjCPM, CPMGamma: 0.5}},
+		"cpm-color": {rgg, Options{Workers: 1, Objective: ObjCPM, CPMGamma: 0.5,
+			Coloring: ColorMultiPhase, ColoringVertexCutoff: 1}},
+		"plm": {rgg, PLM(1)},
+		"vfcolor": {rgg, Options{Workers: 1, VertexFollowing: true,
+			Coloring: ColorMultiPhase, ColoringVertexCutoff: 1}},
+		"vfcolor-europe": {europe, Options{Workers: 1, VertexFollowing: true,
+			Coloring: ColorMultiPhase, ColoringVertexCutoff: 1}},
+		"vfchain-europe": {europe, Options{Workers: 1, VertexFollowing: true, VFChainCompression: true,
+			Coloring: ColorMultiPhase, ColoringVertexCutoff: 1}},
 	} {
+		g, o := row.g, row.o
 		eng := NewEngine(o)
 		res := eng.Run(g)
 		res = eng.RunInto(g, res) // second warm pass settles the arenas

@@ -56,11 +56,17 @@ type phaseState struct {
 	// suffix, which is how a shard clusters its own vertices against frozen
 	// images of other shards' boundary vertices.
 	sweepOwn int
-	// within[i] is e_{i→C(i)} under prev, self-loop included: what vertex
-	// i contributes to the within-community sum of Eq. (3). sweepUncolored
-	// records it for every vertex so reduceScore can score prev without a
-	// second pass over the arcs.
+	// within[i] is what the last sweep recorded for vertex i, so the
+	// state it read or built scores without a second pass over the arcs.
+	// After an uncolored sweep it is e_{i→C(i)} under prev, self-loop
+	// included: i's term of the within-community sum of Eq. (3). After a
+	// colored sweep it is the change i's move made to e_{i→C(i)}, 0 when i
+	// stayed (see decideLive).
 	within []float64
+	// in is Σ_i e_{i→C(i)} under curr, self-loops included: the
+	// within-community sum of Eq. (3) (CPM's within2). score sets it, and a
+	// colored phase keeps it current from its sweeps' moves (scoreMoves).
+	in float64
 	// transient loop-body inputs (set immediately before the loops that read
 	// them; carried here so the captureless bodies reach them via the state
 	// pointer).
@@ -93,6 +99,7 @@ func (st *phaseState) reset(g *graph.Graph, opts Options, nodeSize []int64, work
 	st.m2 = g.TotalWeight()
 	st.curr = par.Resize(st.curr, n)
 	st.prev = par.Resize(st.prev, n)
+	st.within = par.Resize(st.within, n)
 	st.commDeg = par.Resize(st.commDeg, n)
 	st.size = par.Resize(st.size, n)
 	st.gamma = opts.Resolution
@@ -141,7 +148,9 @@ func newPhaseState(g *graph.Graph, opts Options, nodeSize []int64, workers int) 
 
 // refreshAggregates recomputes a_C and |C| (and the CPM node-size sums)
 // from the given assignment: prev before an uncolored sweep, curr when score
-// scores it. It is the engine's one a_C builder.
+// scores it. Colored and async sweeps keep the aggregates current move by
+// move (applyMove) from the ones score left; a colored phase refreshes only
+// for its opening score.
 func (st *phaseState) refreshAggregates(from []int32, workers int) {
 	n := st.g.N()
 	if par.Workers(workers, n) == 1 {
@@ -149,7 +158,8 @@ func (st *phaseState) refreshAggregates(from []int32, workers int) {
 		// scatter adds below would execute in exactly ascending-i order
 		// anyway, so a plain serial pass computes bit-identical aggregates
 		// without paying a CAS per vertex. On a 1-core host this takes a
-		// measurable slice off every iteration (each one refreshes once).
+		// measurable slice off every uncolored iteration (each refreshes
+		// once).
 		for i := 0; i < n; i++ {
 			st.commDeg[i] = 0
 			st.size[i] = 0
@@ -221,13 +231,22 @@ func (st *phaseState) decideSnap(i int, membership []int32, acc *par.SparseAccum
 // set's members itself (see sweepColored), so memberships and aggregates
 // are read plainly.
 //
+// It also returns the move's change to e_{i→C(i)}: e_{i→D} − e_{i→C\{i}}
+// when i moves from C to D, both already in the accumulator, and 0 when i
+// stays. No neighbor of i shares its color set, so i's neighbors hold still
+// while i's set moves, and the move changes Σ_v e_{v→C(v)} by exactly twice
+// this delta: once in i's own term and once over its neighbors' terms.
+//
 //grappolo:hotpath
-func (st *phaseState) decideLive(i int, membership []int32, acc *par.SparseAccum) int32 {
+func (st *phaseState) decideLive(i int, membership []int32, acc *par.SparseAccum) (int32, float64) {
 	ci, _ := st.accumSnap(i, membership, acc)
+	var next int32
 	if st.obj == ObjCPM {
-		return st.bestCPMPlain(i, ci, acc)
+		next = st.bestCPMPlain(i, ci, acc)
+	} else {
+		next = st.bestModPlain(i, ci, acc)
 	}
-	return st.bestModPlain(i, ci, acc)
+	return next, acc.Val(next) - acc.Val(ci)
 }
 
 // decideAsync is decideSnap's decision for asynchronous live-state sweeps:
@@ -521,7 +540,6 @@ func (st *phaseState) applyMove(i int, old, next int32) {
 func (st *phaseState) sweepUncolored(workers int) {
 	n := st.g.N()
 	copy(st.prev, st.curr)
-	st.within = par.Resize(st.within, n)
 	st.refreshAggregates(st.prev, workers)
 	// The arc prefix is truncated to the movable range: a pinned suffix
 	// (sweepOwn < n, see Engine.SweepSeeded) is never decided, so the hot
@@ -572,8 +590,9 @@ func sweepMergedStage(st *phaseState, s, w, lo, hi int) {
 func mergedStageLen(st *phaseState, s int) int { return len(st.mergeSets[s/2]) }
 
 // decideSet records in prev the community each of members lo..hi-1 of one
-// color set moves to, deciding on worker w's accumulator against curr and
-// the aggregates as they stood when the set began.
+// color set moves to, and in within the move's delta (see decideLive),
+// deciding on worker w's accumulator against curr and the aggregates as they
+// stood when the set began.
 //
 //grappolo:hotpath
 func (st *phaseState) decideSet(set []int32, w, lo, hi int) {
@@ -586,7 +605,7 @@ func (st *phaseState) decideSet(set []int32, w, lo, hi int) {
 		if st.pref && t+1 < hi {
 			st.prefetchRow(int(set[t+1]), st.curr) // hints land while i decides
 		}
-		st.prev[i] = st.decideLive(i, st.curr, acc)
+		st.prev[i], st.within[i] = st.decideLive(i, st.curr, acc)
 	}
 }
 
@@ -610,7 +629,8 @@ func (st *phaseState) applySet(set []int32, lo, hi int) {
 }
 
 // moveSet is the one-worker colored sweep of one color set: each member
-// decides against the moves of the members before it and migrates at once.
+// decides against the moves of the members before it and migrates at once,
+// recording its move's delta in within.
 //
 //grappolo:hotpath
 func (st *phaseState) moveSet(set []int32) {
@@ -621,7 +641,9 @@ func (st *phaseState) moveSet(set []int32) {
 			st.prefetchRow(int(set[t+1]), st.curr) // hints land while i decides
 		}
 		old := st.curr[i]
-		if next := st.decideLive(i, st.curr, acc); next != old {
+		next, delta := st.decideLive(i, st.curr, acc)
+		st.within[i] = delta
+		if next != old {
 			st.applyMove(i, old, next)
 			st.curr[i] = next
 		}
@@ -654,7 +676,8 @@ const colorMergeCutoff = 2048
 // aggregates are exact: a colored sweep's outcome is the same on every run
 // for a given coloring and worker count. With non-integer weights and
 // several workers, the atomic float adds of the apply stage land in
-// scheduling order, as in refreshAggregates.
+// scheduling order, as in refreshAggregates, and since no refresh follows a
+// colored sweep, their rounding carries through the phase.
 //
 // Within a set, decide chunks are balanced by member arc counts (prefix
 // sum over OutDegree into the pooled colorPrefix buffers) — unless the
@@ -664,8 +687,11 @@ const colorMergeCutoff = 2048
 // colorMergeCutoff share one worker team via par.ForStagesCtx (see the
 // constant's comment).
 //
-// The sweep starts from the aggregates in place, which must be curr's: score
-// leaves them so, as does reset for the singleton start.
+// The sweep starts from the aggregates in place, which must be curr's: the
+// phase's opening score leaves them so, and every colored sweep's moves keep
+// them so. Every vertex is in exactly one color set, so the sweep records
+// every vertex's move delta in within, from which scoreMoves scores the
+// state the sweep leaves.
 func (st *phaseState) sweepColored(sets [][]int32, workers int) {
 	if par.Workers(workers, st.g.N()) == 1 {
 		for _, set := range sets {
@@ -766,35 +792,44 @@ func (st *phaseState) sweepAsync(workers int) {
 }
 
 // score computes the active objective for curr — Eq. (3) modularity, or
-// the normalized CPM score H/m under ObjCPM — and leaves curr's a_C, |C| and
-// CPM node-size sums in place, where the next colored or async sweep reads
-// them.
+// the normalized CPM score H/m under ObjCPM — from a full pass over every
+// arc, and leaves curr's a_C, |C| and CPM node-size sums in place, where the
+// next colored or async sweep reads them, and curr's within sum in in.
 func (st *phaseState) score(workers int) float64 {
 	st.refreshAggregates(st.curr, workers)
-	return st.reduceScore(currWithin, workers)
+	st.in = par.SumFloat64Ctx(st, st.g.N(), workers, currWithin)
+	return st.reduceScore(st.in, workers)
+}
+
+// scoreMoves scores the state a colored sweep left without reading an arc:
+// the sweep's moves changed the within sum by twice their recorded deltas
+// (see decideLive), and applyMove kept a_C, |C| and the CPM node-size sums
+// current. With integer edge weights every sum is exact, so the score has
+// the bits score would compute.
+func (st *phaseState) scoreMoves(workers int) float64 {
+	st.in += 2 * st.sweptTotal(workers)
+	return st.reduceScore(st.in, workers)
 }
 
 // reduceScore computes the active objective from the aggregates in place and
-// within(st, i), vertex i's within-community term under the assignment they
-// were built from. CPM is H/m = (w_in − γ·Σ_C binom(ns_C,2)) / m, with w_in
-// counted by the coarsening-invariant within2/2 convention.
-func (st *phaseState) reduceScore(within func(*phaseState, int) float64, workers int) float64 {
+// in, the within-community sum Σ_i e_{i→C(i)} of the assignment they
+// describe. CPM is H/m = (w_in − γ·Σ_C binom(ns_C,2)) / m, with w_in
+// counted by the coarsening-invariant within2/2 convention (within2 = in).
+func (st *phaseState) reduceScore(in float64, workers int) float64 {
 	n := st.g.N()
 	if st.obj == ObjCPM {
 		if n == 0 || st.m == 0 {
 			return 0
 		}
-		within2 := par.SumFloat64Ctx(st, n, workers, within)
 		penalty := par.SumFloat64Ctx(st, n, workers, func(st *phaseState, c int) float64 {
 			s := float64(st.commNS[c])
 			return s * (s - 1) / 2
 		})
-		return (within2/2 - st.cpmGamma*penalty) / st.m
+		return (in/2 - st.cpmGamma*penalty) / st.m
 	}
 	if n == 0 || st.m2 == 0 {
 		return 0
 	}
-	in := par.SumFloat64Ctx(st, n, workers, within)
 	null := par.SumFloat64Ctx(st, n, workers, func(st *phaseState, c int) float64 {
 		f := st.commDeg[c] / st.m2
 		return f * f
@@ -802,10 +837,15 @@ func (st *phaseState) reduceScore(within func(*phaseState, int) float64, workers
 	return in/st.m2 - st.gamma*null
 }
 
-// sweptWithin is vertex i's within-community term under prev, as the last
-// sweepUncolored recorded it: ownWeight(i, prev) bit for bit, so
-// reduceScore(sweptWithin) gives prev the score's bits whenever a_C has
-// them (see sweepUncolored).
+// sweptTotal sums what the last sweep recorded in within. After an
+// uncolored sweep each entry is ownWeight(i, prev) bit for bit, so the sum
+// is the one score would compute for prev, and reduceScore gives prev the
+// score's bits whenever a_C has them (see sweepUncolored).
+func (st *phaseState) sweptTotal(workers int) float64 {
+	return par.SumFloat64Ctx(st, st.g.N(), workers, sweptWithin)
+}
+
+// sweptWithin is what the last sweep recorded for vertex i.
 func sweptWithin(st *phaseState, i int) float64 { return st.within[i] }
 
 // currWithin is vertex i's within-community term under curr.

@@ -25,8 +25,10 @@ func Run(g *graph.Graph, opts Options) *Result {
 
 // Modularity computes Eq. (3) for an arbitrary assignment on g with the
 // given number of workers — exposed so callers can score external
-// partitions (e.g. ground truth) with phaseState.score, the same code that
-// scores every engine iteration.
+// partitions (e.g. ground truth). It scores with phaseState.score, the full
+// score that opens every engine phase and follows every async sweep; the
+// engine's uncolored and colored iterations reduce through the same
+// reduceScore.
 func Modularity(g *graph.Graph, membership []int32, gamma float64, workers int) float64 {
 	if gamma <= 0 {
 		gamma = 1

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"grappolo/internal/coloring"
 	"grappolo/internal/generate"
 	"grappolo/internal/graph"
 	"grappolo/internal/par"
@@ -181,4 +182,167 @@ func TestSweepSeededMatchesReference(t *testing.T) {
 	}
 	noisy := noisyLoopGraph(3000, 8, 11)
 	checkSeeded(t, "noisy/w1", noisy, Options{Workers: 1}, identitySeed(noisy.N()), noisy.N()*2/3)
+}
+
+// referenceColoredPhase is referencePhase for colored phases: every colored
+// sweep is followed by a full score of the state it left (a_C rebuilt from
+// curr and a pass over every arc), and the next sweep starts from the
+// aggregates that score rebuilt. It is the oracle for scoring a colored
+// sweep from its own moves.
+func referenceColoredPhase(st *phaseState, sets [][]int32, threshold float64, maxIter, workers int) (trace []float64, q float64) {
+	q = st.score(workers)
+	for maxIter == 0 || len(trace) < maxIter {
+		st.sweepColored(sets, workers)
+		next := st.score(workers)
+		trace = append(trace, next)
+		gain := next - q
+		q = next
+		if gain < threshold {
+			break
+		}
+	}
+	return trace, q
+}
+
+// colorSets colors one phase's graph the way a run would for some
+// configuration, and reports whether the sets are arc-rebalanced.
+type colorSets func(g *graph.Graph, workers int) (*coloring.Coloring, bool)
+
+func distance1Sets(g *graph.Graph, workers int) (*coloring.Coloring, bool) {
+	return coloring.Parallel(g, workers), false
+}
+
+func distance2Sets(g *graph.Graph, workers int) (*coloring.Coloring, bool) {
+	return coloring.ParallelDistance2(g, workers), false
+}
+
+func arcBalancedSets(g *graph.Graph, workers int) (*coloring.Coloring, bool) {
+	cs := coloring.Rebalance(g, coloring.Parallel(g, workers),
+		coloring.RebalanceOptions{Workers: workers, By: coloring.BalanceByArcs})
+	return cs, true
+}
+
+// coloredPhase is what one colored Engine phase reported.
+type coloredPhase struct {
+	trace      []float64
+	q          float64
+	membership []int32
+}
+
+// checkColoredChain runs colored Engine phases down g's coarsening chain,
+// each on a fresh coloring of its graph. With exact set, it checks every
+// phase against referenceColoredPhase from the same graph, coloring and
+// starting state on trace bits, iteration count, final score and
+// membership; otherwise it checks that each phase's final score is within
+// 1e-12 of a fresh score of the membership it reports. It returns the
+// phases it ran.
+func checkColoredChain(t *testing.T, name string, g *graph.Graph, opts Options, sets colorSets, exact bool) []coloredPhase {
+	t.Helper()
+	opts = opts.Defaults()
+	eng := NewEngine(opts)
+	var nodeSize []int64
+	if opts.Objective == ObjCPM {
+		nodeSize = make([]int64, g.N())
+		for i := range nodeSize {
+			nodeSize[i] = 1
+		}
+	}
+	var phases []coloredPhase
+	for level := 0; g.N() > 0; level++ {
+		where := fmt.Sprintf("%s level %d (n=%d)", name, level, g.N())
+		cs, arcEven := sets(g, opts.Workers)
+		dense, stats, gotQ, aborted := eng.runPhase(g, opts.ColoredThreshold, cs, arcEven, nodeSize, nil)
+		if aborted {
+			t.Fatalf("%s: phase aborted", where)
+		}
+		if exact {
+			ref := newPhaseState(g, opts, nodeSize, opts.Workers)
+			ref.arcEvenSets = arcEven
+			trace, q := referenceColoredPhase(ref, cs.Sets, opts.ColoredThreshold, opts.MaxIterations, opts.Workers)
+			if stats.Iterations != len(trace) || !sameBits(stats.Modularity, trace) {
+				t.Fatalf("%s: %d iterations, trace %v; reference %d iterations, trace %v",
+					where, stats.Iterations, stats.Modularity, len(trace), trace)
+			}
+			if math.Float64bits(gotQ) != math.Float64bits(q) {
+				t.Fatalf("%s: final score %v, reference %v", where, gotQ, q)
+			}
+			if !slices.Equal(eng.st.curr, ref.curr) {
+				t.Fatalf("%s: memberships differ", where)
+			}
+		} else {
+			fresh := newPhaseState(g, opts, nodeSize, opts.Workers)
+			copy(fresh.curr, eng.st.curr)
+			if freshQ := fresh.score(opts.Workers); math.Abs(gotQ-freshQ) > 1e-12 {
+				t.Fatalf("%s: final score %v, a fresh score of its membership %v", where, gotQ, freshQ)
+			}
+		}
+		phases = append(phases, coloredPhase{stats.Modularity, gotQ, slices.Clone(eng.st.curr)})
+		nc := int(maxInt32(dense)) + 1
+		if nc == g.N() {
+			break
+		}
+		if nodeSize != nil {
+			next := make([]int64, nc)
+			for v, c := range dense {
+				next[c] += nodeSize[v]
+			}
+			nodeSize = next
+		}
+		g = rebuild(g, dense, nc, opts.Workers)
+	}
+	return phases
+}
+
+// TestColoredSweepMatchesReference pins scoring a colored sweep from its own
+// moves: Engine phases, which score each colored state from the within
+// deltas its sweep recorded and the aggregates applyMove kept, must match
+// the sweep-then-score loop on trace bits, iteration counts, final scores
+// and memberships — on the Small suite and down each coarsening chain, at
+// one worker (moves in order) and four (decide, then apply), for both
+// objectives, a non-default resolution, an iteration cap, a fine colored
+// threshold, distance-2 colorings and arc-rebalanced sets.
+func TestColoredSweepMatchesReference(t *testing.T) {
+	configs := []struct {
+		name string
+		opts Options
+		sets colorSets
+	}{
+		{"w1", Options{Workers: 1}, distance1Sets},
+		{"w4", Options{Workers: 4}, distance1Sets},
+		{"cpm0.5-w4", Options{Workers: 4, Objective: ObjCPM, CPMGamma: 0.5}, distance1Sets},
+		{"cpm0.1-w1", Options{Workers: 1, Objective: ObjCPM, CPMGamma: 0.1}, distance1Sets},
+		{"res0.5-w4", Options{Workers: 4, Resolution: 0.5}, distance1Sets},
+		{"maxiter1-w4", Options{Workers: 4, MaxIterations: 1}, distance1Sets},
+		{"threshold1e-6-w4", Options{Workers: 4, ColoredThreshold: 1e-6}, distance1Sets},
+		{"d2-w4", Options{Workers: 4}, distance2Sets},
+		{"arcs-w4", Options{Workers: 4}, arcBalancedSets},
+		{"arcs-w1", Options{Workers: 1}, arcBalancedSets},
+	}
+	for _, in := range generate.Suite() {
+		g := generate.MustGenerate(in, generate.Small, 0, 4)
+		for _, c := range configs {
+			checkColoredChain(t, string(in)+"/"+c.name, g, c.opts, c.sets, true)
+		}
+	}
+	// Non-integer weights: the running within sum and the applied a_C round
+	// differently from a fresh score, by far less than any gain threshold.
+	// One worker applies moves in a fixed order, so its runs repeat exactly.
+	noisy := noisyLoopGraph(3000, 8, 7)
+	for name, o := range map[string]Options{
+		"w1":     {Workers: 1},
+		"w4":     {Workers: 4},
+		"cpm-w1": {Workers: 1, Objective: ObjCPM, CPMGamma: 0.1},
+	} {
+		first := checkColoredChain(t, "noisy/"+name, noisy, o, distance1Sets, false)
+		if o.Workers != 1 {
+			continue
+		}
+		again := checkColoredChain(t, "noisy/"+name, noisy, o, distance1Sets, false)
+		if !slices.EqualFunc(first, again, func(a, b coloredPhase) bool {
+			return sameBits(a.trace, b.trace) && math.Float64bits(a.q) == math.Float64bits(b.q) &&
+				slices.Equal(a.membership, b.membership)
+		}) {
+			t.Fatalf("noisy/%s: two runs differ", name)
+		}
+	}
 }

@@ -13,6 +13,12 @@ type vfCtx struct {
 	merged    *int64
 	m2        float64
 	chainMode bool
+	// foldFollowers' inputs and outputs.
+	dense   []int32   // each vertex's new id: its root's rank among the roots
+	offsets []int64   // row lengths, then the new CSR offsets in place
+	loopAt  []int64   // per new id: its loop entry's index in the row, then in the CSR; -1 if none
+	adj     []int32   // new CSR targets
+	weights []float64 // new CSR weights
 }
 
 func vfScan(c *vfCtx, lo, hi int) {
@@ -126,13 +132,131 @@ func (e *Engine) vertexFollow(g *graph.Graph, workers int, chainMode bool) (memb
 	return out, numComm, true
 }
 
-// vertexFollowChain repeats VF passes on progressively rebuilt graphs until
-// no qualifying vertices remain (or maxRounds is hit), folding the composed
-// mapping into total (which must come in as the identity over g's vertices).
-// A single round with chainMode false is the paper's basic VF; multiple
-// rounds with chainMode true implement the chain-compression extension of
-// §5.3. It returns the compressed graph (owned by the engine's graph slots)
-// and how many VF passes were applied.
+// vfRoot reports whether vertex v is a root of the VF assignment in c.parent
+// (it follows no one).
+func vfRoot(c *vfCtx, v int32) bool { return c.parent[v] == v }
+
+// vfCountRows sizes the new row of each root r in [lo, hi): one entry per arc
+// to another root, plus one loop entry if r has a self-loop or a follower.
+// A root with followers has one as a neighbor, since every follow chain ends
+// in an arc to its root, and a follower's neighbors are all in its root's
+// community. loopAt records the loop entry's index in the row: after the
+// entries of the roots with smaller ids, because renumbering keeps id order.
+func vfCountRows(c *vfCtx, _, lo, hi int) {
+	for r := lo; r < hi; r++ {
+		if !vfRoot(c, int32(r)) {
+			continue
+		}
+		nbr, _ := c.g.Neighbors(r)
+		var before, after int64
+		loop := false
+		for _, j := range nbr {
+			switch {
+			case int(j) == r || !vfRoot(c, j):
+				loop = true
+			case int(j) < r:
+				before++
+			default:
+				after++
+			}
+		}
+		k := c.dense[r]
+		c.loopAt[k] = -1
+		if loop {
+			c.loopAt[k] = before
+			after++
+		}
+		c.offsets[k] = before + after
+	}
+}
+
+// vfFillRows writes the new row of each root r in [lo, hi): r's row with
+// every other root renumbered (so it stays sorted), and r's self-loop and
+// arcs to its followers summed into the loop entry. loopAt becomes the loop
+// entry's CSR index.
+func vfFillRows(c *vfCtx, _, lo, hi int) {
+	for r := lo; r < hi; r++ {
+		if !vfRoot(c, int32(r)) {
+			continue
+		}
+		nbr, wts := c.g.Neighbors(r)
+		k := c.dense[r]
+		t := c.offsets[k]
+		at := int64(-1)
+		if c.loopAt[k] >= 0 {
+			at = t + c.loopAt[k]
+		}
+		loop := 0.0
+		for x, j := range nbr {
+			if int(j) == r || !vfRoot(c, j) {
+				loop += wts[x]
+				continue
+			}
+			if t == at {
+				t++
+			}
+			c.adj[t], c.weights[t] = c.dense[j], wts[x]
+			t++
+		}
+		if at >= 0 {
+			c.adj[at], c.weights[at] = k, loop
+		}
+		c.loopAt[k] = at
+	}
+}
+
+// vfAddFollowers adds the degree of each follower in [lo, hi) to its
+// community's loop entry: every arc of a follower stays in its community.
+func vfAddFollowers(c *vfCtx, lo, hi int) {
+	for v := lo; v < hi; v++ {
+		if !vfRoot(c, int32(v)) {
+			par.AddFloat64(&c.weights[c.loopAt[c.dense[v]]], c.g.Degree(v))
+		}
+	}
+}
+
+// foldFollowers coarsens g by the VF assignment vertexFollow just computed
+// (dense, over numComm communities, with e.vfParent still holding the
+// roots) into the next pooled graph slot. It builds what rebuildInto would
+// from the same assignment, without rebuildInto's counting sort, row
+// gathers and sorts: each community is one root and its followers, no arc
+// leaves a follower's community, and a root's other arcs go to roots, so the
+// new row of a root is its own row renumbered, with one loop entry holding
+// its self-loop, its arcs to its followers and its followers' degrees. With
+// integer weights the result equals rebuildInto's bit for bit; otherwise the
+// loop weights' sums may round differently.
+func (e *Engine) foldFollowers(g *graph.Graph, dense []int32, numComm, workers int) *graph.Graph {
+	slot := e.nextSlot()
+	offsets := par.Resize(slot.offsets, numComm+1)
+	offsets[numComm] = 0
+	loopAt := par.Resize(e.vfLoopAt, numComm)
+	e.vfLoopAt = loopAt
+	ctx := &e.vfc
+	*ctx = vfCtx{g: g, parent: e.vfParent, dense: dense, offsets: offsets, loopAt: loopAt}
+	par.ForChunkPrefixCtx(ctx, g.ArcOffsets(), workers, vfCountRows)
+	arcs := par.ExclusivePrefixSum(offsets, workers)
+	ctx.adj = par.Resize(slot.adj, int(arcs))
+	ctx.weights = par.Resize(slot.weights, int(arcs))
+	par.ForChunkPrefixCtx(ctx, g.ArcOffsets(), workers, vfFillRows)
+	par.ForChunkCtx(ctx, g.N(), workers, 0, vfAddFollowers)
+	slot.offsets, slot.adj, slot.weights = offsets, ctx.adj, ctx.weights
+	*ctx = vfCtx{}
+	cg, err := graph.FromCSRInto(slot.g, slot.offsets, slot.adj, slot.weights, workers, false)
+	if err != nil {
+		panic(err) // unreachable with check=false
+	}
+	slot.g = cg
+	return cg
+}
+
+// vertexFollowChain repeats VF passes on progressively coarsened graphs
+// until no qualifying vertices remain (or maxRounds is hit), folding the
+// composed mapping into total (which must come in as the identity over g's
+// vertices). A single round with chainMode false is the paper's basic VF;
+// multiple rounds with chainMode true implement the chain-compression
+// extension of §5.3. Each round coarsens with foldFollowers, not the
+// general rebuild. It returns the compressed graph (owned by the engine's
+// graph slots) and how many VF passes were applied.
 func (e *Engine) vertexFollowChain(g *graph.Graph, workers, maxRounds int, total []int32) (*graph.Graph, int) {
 	n := len(total)
 	cur := g
@@ -144,7 +268,7 @@ func (e *Engine) vertexFollowChain(g *graph.Graph, workers, maxRounds int, total
 			break
 		}
 		rounds++
-		cur = e.rebuild(cur, membership, nc, workers)
+		cur = e.foldFollowers(cur, membership, nc, workers)
 		fold := &e.fold
 		*fold = foldCtx{total: total, phase: membership}
 		par.ForChunkCtx(fold, n, workers, 0, foldMembership)

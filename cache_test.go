@@ -594,6 +594,103 @@ func TestStreamAddEdgeRejectsBadWeights(t *testing.T) {
 	}
 }
 
+// TestStreamRejectsBadInput pins the Stream's input contract: a nil seed,
+// a seed whose total edge weight is infinite, an edge that would make the
+// stream's total edge weight infinite (buffered edges counted) and a
+// negative endpoint all end in typed errors and leave the stream as it was.
+// A run on an infinite total never ends, so each case runs under a 10 s
+// timer and reports what it found wrong as an error.
+func TestStreamRejectsBadInput(t *testing.T) {
+	huge := math.MaxFloat64
+	newPath := func(batch int) (*grappolo.Stream, error) {
+		g := grappolo.FromEdges(3, []grappolo.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}}, 1)
+		return grappolo.NewStream(g, []grappolo.Option{grappolo.Workers(1)}, grappolo.BatchSize(batch))
+	}
+	cases := map[string]func() error{
+		"nil seed": func() error {
+			if _, err := grappolo.NewStream(nil, nil); !errors.Is(err, grappolo.ErrNilGraph) {
+				return fmt.Errorf("NewStream(nil) = %v, want ErrNilGraph", err)
+			}
+			return nil
+		},
+		"infinite seed": func() error {
+			g := grappolo.FromEdges(3, []grappolo.Edge{{U: 0, V: 1, W: huge}, {U: 1, V: 2, W: huge}}, 1)
+			var ie *grappolo.InputError
+			if _, err := grappolo.NewStream(g, nil); !errors.As(err, &ie) || ie.Arg != "graph" {
+				return fmt.Errorf("NewStream(+Inf total) = %v, want an *InputError naming graph", err)
+			}
+			return nil
+		},
+		"infinite edge": func() error {
+			s, err := newPath(1)
+			if err != nil {
+				return err
+			}
+			q := s.Modularity()
+			for _, e := range [][2]int32{{0, 2}, {0, 1}} {
+				if err := s.AddEdge(e[0], e[1], huge); !errors.Is(err, grappolo.ErrBadEdgeWeight) {
+					return fmt.Errorf("AddEdge(%d, %d, MaxFloat64) = %v, want ErrBadEdgeWeight", e[0], e[1], err)
+				}
+			}
+			if w := s.Snapshot().TotalWeight(); w != 4 {
+				return fmt.Errorf("total edge weight %v after refused edges, want 4", w)
+			}
+			if got := s.Modularity(); got != q {
+				return fmt.Errorf("refused edges changed Q: %v -> %v", q, got)
+			}
+			return nil
+		},
+		"infinite buffered total": func() error {
+			s, err := newPath(8)
+			if err != nil {
+				return err
+			}
+			if err := s.AddEdge(0, 0, 1e308); err != nil {
+				return err
+			}
+			if err := s.AddEdge(2, 2, 1e308); !errors.Is(err, grappolo.ErrBadEdgeWeight) {
+				return fmt.Errorf("second 1e308 self-loop = %v, want ErrBadEdgeWeight", err)
+			}
+			if err := s.Flush(); err != nil {
+				return err
+			}
+			if q := s.Modularity(); math.IsNaN(q) || math.IsInf(q, 0) {
+				return fmt.Errorf("Q = %v after flushing the admitted edge", q)
+			}
+			return nil
+		},
+		"negative id": func() error {
+			s, err := newPath(1)
+			if err != nil {
+				return err
+			}
+			var ie *grappolo.InputError
+			for _, e := range [][2]int32{{-1, 2}, {0, -2}} {
+				err := s.AddEdge(e[0], e[1], 1)
+				if !errors.Is(err, grappolo.ErrInvalidInput) || !errors.As(err, &ie) || ie.Arg != "edge" {
+					return fmt.Errorf("AddEdge(%d, %d, 1) = %v, want an *InputError naming edge", e[0], e[1], err)
+				}
+			}
+			if s.N() != 3 || s.BatchApplies() != 0 {
+				return fmt.Errorf("refused edges changed the stream: N %d, %d batches", s.N(), s.BatchApplies())
+			}
+			return nil
+		},
+	}
+	for name, check := range cases {
+		done := make(chan error, 1)
+		go func() { done <- check() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: no return within 10 s", name)
+		}
+	}
+}
+
 // TestStreamFlushCtxSurfacesErrors is the regression test for the silent
 // full-refresh: a canceled context during the escalated re-detection now
 // surfaces through the Stream instead of being swallowed.

@@ -226,13 +226,15 @@
 //
 // Streaming workloads use NewStream, which maintains communities under
 // live edge insertions with batched incremental updates and pooled full
-// re-detections. AddEdge rejects weights that are not positive finite
-// numbers with ErrBadEdgeWeight (a NaN or Inf would corrupt the live
-// modularity bookkeeping irreversibly), FlushCtx surfaces cancellation of
-// the full re-detections a flush can escalate to (the overlay stays
-// consistent and the refresh is retried on the next flush), and OnApply
-// registers a post-batch hook — the natural place to call Cache.Invalidate
-// for the stream's seed graph. Synthetic inputs reproducing the paper's
+// re-detections. NewStream checks its seed as the detection entry points
+// check their graphs. AddEdge rejects weights that are not positive finite
+// numbers, and weights that would make the total edge weight infinite, with
+// ErrBadEdgeWeight (a NaN or Inf would corrupt the live modularity
+// bookkeeping irreversibly), and a negative endpoint with an *InputError;
+// FlushCtx surfaces cancellation of the full re-detections a flush can
+// escalate to (the overlay stays consistent and the refresh is retried on
+// the next flush), and OnApply registers a post-batch hook — the natural
+// place to call Cache.Invalidate for the stream's seed graph. Synthetic inputs reproducing the paper's
 // 11-graph suite live in grappolo/generate; partition-agreement measures
 // (Table 3) in grappolo/quality.
 //
@@ -299,6 +301,21 @@
 // Together the two changes took suite-colored's suite time from 0.85 s to
 // 0.63 s on the same host, with the same output. The README's Performance
 // section has the quartiles and pair counts.
+//
+// Uncolored sweeps skip certified stays. After a phase's first sweep, a
+// vertex whose last decision was to stay is not decided again while neither
+// it nor any vertex in its row has moved since, and while its degree (its
+// node size under CPM) times a drift budget — the sum over sweeps of
+// γ·max_C |Δa_C|/m², or 2γ·max_C |Δns_C|/m under CPM — stays below the
+// margin by which its best candidate gain was negative, less a rounding
+// tolerance. Nothing else enters its decision, so the skipped vertex keeps
+// the community and within term deciding it would give: memberships, Q
+// bits, traces and iteration counts are those of deciding every vertex, for
+// any weights and worker count. The skip leaves 56–67% of phase 1's vertex
+// visits undecided on nine of the 11 suite graphs, and took
+// suite-baseline's suite time from 2.24 s to 1.86 s on the same host
+// (medians of 10 alternating pairs, 10 of 10 won) with the same output;
+// no other workload got worse.
 //
 // # Reusable Engine and scratch ownership
 //

@@ -7,7 +7,7 @@ import (
 )
 
 // ErrNilGraph is returned by every detection entry point (Detector, Pool,
-// Sharded, Cache, Guard, DetectSerial) handed a nil *Graph. Validating at the
+// Sharded, Cache, Guard, DetectSerial) and by NewStream handed a nil *Graph. Validating at the
 // boundary turns what used to be a panic deep inside the engine into a
 // typed, checkable request error. A graph whose total edge weight is not a
 // finite number is refused at the same boundary with an *InputError.
@@ -46,13 +46,14 @@ func (e *EngineFaultError) Error() string {
 func (e *EngineFaultError) Is(target error) bool { return target == ErrEngineFault }
 
 // ErrInvalidInput is matched (errors.Is) by the error Modularity,
-// AnalyzeCommunities and the detection entry points return for an argument
-// they refuse: a membership that does not give each of the graph's vertices
-// one label in [0, g.N()) (Modularity, AnalyzeCommunities), a resolution
-// that is not a finite number (Modularity), a threshold that is not a
-// finite number (DetectSerial), or a graph whose total edge weight is not a
-// finite number (every detection entry point: a Builder keeps NaN and +Inf
-// weights, and no run on them would end). The concrete value is an
+// AnalyzeCommunities, Stream.AddEdge and the detection entry points return
+// for an argument they refuse: a membership that does not give each of the
+// graph's vertices one label in [0, g.N()) (Modularity, AnalyzeCommunities),
+// a resolution that is not a finite number (Modularity), a threshold that
+// is not a finite number (DetectSerial), an edge with a negative endpoint
+// (Stream.AddEdge), or a graph whose total edge weight is not a finite
+// number (every detection entry point and NewStream: a Builder keeps NaN
+// and +Inf weights, and no run on them would end). The concrete value is an
 // *InputError naming the argument. A nil graph is reported as ErrNilGraph
 // instead.
 var ErrInvalidInput = errors.New("grappolo: invalid input")
@@ -61,7 +62,8 @@ var ErrInvalidInput = errors.New("grappolo: invalid input")
 // detection entry point refuses, and why. It matches ErrInvalidInput under
 // errors.Is.
 type InputError struct {
-	// Arg names the argument: "membership", "gamma", "threshold" or "graph".
+	// Arg names the argument: "membership", "gamma", "threshold", "edge"
+	// or "graph".
 	Arg string
 	// Reason says what is wrong with it.
 	Reason string

@@ -2,6 +2,8 @@ package grappolo_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -159,5 +161,71 @@ func FuzzDetectOptions(f *testing.F) {
 			t.Fatalf("accepted configuration failed to run: %v", err)
 		}
 		checkPartition(t, g, res)
+	})
+}
+
+// streamWeights are the weights FuzzStream feeds AddEdge: three the stream
+// accepts, one only where the total stays finite, and four it must refuse.
+var streamWeights = [8]float64{1, 2, 0.5, 0, -1, math.NaN(), math.Inf(1), 1e308}
+
+// FuzzStream drives a Stream through edge batches: a seed graph of at most
+// 16 vertices with integer weights 1–8, a BatchSize of 1–8, then a run of
+// AddEdge and Flush calls with ids in [−2, 48) and weights from
+// streamWeights. Nothing may panic, every error must be typed, and after
+// each call the membership must give every vertex a label in [0, N()) and
+// Q must be finite. Ids stay small: an id of 2^31−1 would grow the overlay
+// to 2^31 vertices.
+func FuzzStream(f *testing.F) {
+	f.Add([]byte{6, 0, 3, 0, 1, 0, 1, 2, 3, 2, 0, 1, 1, 4, 5, 0, 0, 1, 9, 9, 7})
+	f.Add([]byte{3, 1, 2, 0, 1, 7, 1, 2, 7, 1, 0, 2, 7, 1, 0, 1, 7, 1, 1, 1, 7, 0})
+	f.Add([]byte{16, 7, 0, 2, 0, 60, 1, 3, 1, 5, 1, 48, 49, 4, 3, 2, 6, 0, 4, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n := int(data[0])%16 + 1
+		batch := int(data[1])%8 + 1
+		k := int(data[2]) % 33
+		data = data[3:]
+		edges := make([]grappolo.Edge, 0, k)
+		for ; k > 0 && len(data) >= 3; k-- {
+			u, v := int32(data[0])%int32(n), int32(data[1])%int32(n)
+			edges = append(edges, grappolo.Edge{U: u, V: v, W: float64(data[2]%8 + 1)})
+			data = data[3:]
+		}
+		s, err := grappolo.NewStream(grappolo.FromEdges(n, edges, 1),
+			[]grappolo.Option{grappolo.Workers(1)}, grappolo.BatchSize(batch))
+		if err != nil {
+			t.Fatalf("NewStream on a valid seed: %v", err)
+		}
+		check := func(call string, err error) {
+			t.Helper()
+			if err != nil && !errors.Is(err, grappolo.ErrBadEdgeWeight) && !errors.Is(err, grappolo.ErrInvalidInput) {
+				t.Fatalf("%s: untyped error %v", call, err)
+			}
+			mem := s.Membership()
+			if len(mem) != s.N() {
+				t.Fatalf("%s: %d labels for %d vertices", call, len(mem), s.N())
+			}
+			for v, c := range mem {
+				if c < 0 || int(c) >= s.N() {
+					t.Fatalf("%s: vertex %d has label %d, want [0, %d)", call, v, c, s.N())
+				}
+			}
+			if q := s.Modularity(); math.IsNaN(q) || math.IsInf(q, 0) {
+				t.Fatalf("%s: Q = %v", call, q)
+			}
+		}
+		for calls := 0; calls < 64 && len(data) > 0; calls++ {
+			if data[0]%5 == 0 || len(data) < 4 {
+				check("Flush", s.Flush())
+				data = data[1:]
+				continue
+			}
+			u, v := int32(data[1])%50-2, int32(data[2])%50-2
+			w := streamWeights[data[3]%8]
+			check(fmt.Sprintf("AddEdge(%d, %d, %v)", u, v, w), s.AddEdge(u, v, w))
+			data = data[4:]
+		}
 	})
 }

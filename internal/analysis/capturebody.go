@@ -20,10 +20,10 @@ var CaptureBody = &Analyzer{
 	Name: "capturebody",
 	Doc: "flag capturing closures passed as bodies of par.ForChunkCtx-family helpers\n\n" +
 		"Function-typed arguments of ForChunkCtx, ForChunkWorkerCtx, ForChunkPrefixCtx,\n" +
-		"ForStaticCtx, ForStagesCtx, SumFloat64Ctx and MaxInt64Ctx must be package-level\n" +
-		"functions or captureless literals; anything that captures variables or binds a\n" +
-		"receiver heap-allocates on every call (the body escapes into worker goroutines),\n" +
-		"violating the zero-alloc warm-run contract.",
+		"ForStaticCtx, ForStagesCtx, SumFloat64Ctx, MaxInt64Ctx and MaxFloat64Ctx must be\n" +
+		"package-level functions or captureless literals; anything that captures variables\n" +
+		"or binds a receiver heap-allocates on every call (the body escapes into worker\n" +
+		"goroutines), violating the zero-alloc warm-run contract.",
 	Run: runCaptureBody,
 }
 
@@ -37,6 +37,7 @@ var ctxHelpers = map[string]bool{
 	"ForStagesCtx":      true,
 	"SumFloat64Ctx":     true,
 	"MaxInt64Ctx":       true,
+	"MaxFloat64Ctx":     true,
 }
 
 // parPackage reports whether path is the repository's par package (the real

@@ -84,6 +84,13 @@ func badReduction(st *state, n, p int, scale float64) float64 {
 	})
 }
 
+// badMax: so is the float max reduction.
+func badMax(st *state, n, p int, seen []float64) float64 {
+	return par.MaxFloat64Ctx(st, n, p, func(st *state, i int) float64 { // want `captures seen`
+		return seen[i] - float64(st.prev[i])
+	})
+}
+
 // badMethodValue: a bound method value allocates per evaluation exactly
 // like a capturing closure.
 func badMethodValue(st *state, n, p int) {

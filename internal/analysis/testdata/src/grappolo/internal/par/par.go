@@ -45,3 +45,13 @@ func MaxInt64Ctx[C any](ctx C, n, p int, f func(ctx C, i int) int64) int64 {
 	}
 	return m
 }
+
+func MaxFloat64Ctx[C any](ctx C, n, p int, f func(ctx C, i int) float64) float64 {
+	var m float64
+	for i := 0; i < n; i++ {
+		if v := f(ctx, i); v > m {
+			m = v
+		}
+	}
+	return m
+}

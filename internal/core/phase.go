@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 
 	"grappolo/internal/graph"
 	"grappolo/internal/par"
@@ -59,10 +60,16 @@ type phaseState struct {
 	// within[i] is what the last sweep recorded for vertex i, so the
 	// state it read or built scores without a second pass over the arcs.
 	// After an uncolored sweep it is e_{i→C(i)} under prev, self-loop
-	// included: i's term of the within-community sum of Eq. (3). After a
+	// included: i's term of the within-community sum of Eq. (3). A vertex
+	// the sweep skipped keeps the value recorded at its last decision,
+	// which is still ownWeight(i, prev) bit for bit: neither i nor any
+	// vertex in its row has moved since (see sweepUncolored). After a
 	// colored sweep it is the change i's move made to e_{i→C(i)}, 0 when i
 	// stayed (see decideLive).
 	within []float64
+	// skip lets uncolored sweeps skip the vertices whose last decision, a
+	// stay, provably repeats.
+	skip skipState
 	// in is Σ_i e_{i→C(i)} under curr, self-loops included: the
 	// within-community sum of Eq. (3) (CPM's within2). score sets it, and a
 	// colored phase keeps it current from its sweeps' moves (scoreMoves).
@@ -116,6 +123,8 @@ func (st *phaseState) reset(g *graph.Graph, opts Options, nodeSize []int64, work
 	st.prefixReady = false
 	st.arcEvenSets = false
 	st.sweepOwn = n
+	st.skip.live = false
+	st.skip.budget = 0
 	// One accumulator per effective worker: community ids live in [0, n),
 	// and a vertex can touch at most OutDegree+1 distinct communities (the
 	// key list grows amortized past that on coarser graphs).
@@ -150,7 +159,9 @@ func newPhaseState(g *graph.Graph, opts Options, nodeSize []int64, workers int) 
 // from the given assignment: prev before an uncolored sweep, curr when score
 // scores it. Colored and async sweeps keep the aggregates current move by
 // move (applyMove) from the ones score left; a colored phase refreshes only
-// for its opening score.
+// for its opening score. An uncolored sweep's skip bounds the drift of what
+// this refresh leaves, bits included (see skipState), so any refresh the
+// sweeps read keeps the skip exact, however it orders its sums.
 func (st *phaseState) refreshAggregates(from []int32, workers int) {
 	n := st.g.N()
 	if par.Workers(workers, n) == 1 {
@@ -210,19 +221,25 @@ func (st *phaseState) refreshAggregates(from []int32, workers int) {
 // accumulator's slot for C(i) holds e_{i→C(i)\{i}}, built by the same adds
 // in the same arc order from the same 0 as ownWeight's sum, so for a row
 // without a self-loop it IS that sum, bit for bit. A row with a self-loop
-// is summed again in arc order.
+// is summed again in arc order. Its third result is the largest candidate
+// gain it computed (−∞ when every neighbor is in C(i)), from which the sweep
+// certifies a stay (see skipState).
 //
 //grappolo:hotpath
-func (st *phaseState) decideSnap(i int, membership []int32, acc *par.SparseAccum) (int32, float64) {
+func (st *phaseState) decideSnap(i int, membership []int32, acc *par.SparseAccum) (int32, float64, float64) {
 	ci, loop := st.accumSnap(i, membership, acc)
 	own := acc.Val(ci)
 	if loop {
 		own = st.ownWeight(i, membership)
 	}
+	var next int32
+	var top float64
 	if st.obj == ObjCPM {
-		return st.bestCPMPlain(i, ci, acc), own
+		next, top = st.bestCPMPlain(i, ci, acc)
+	} else {
+		next, top = st.bestModPlain(i, ci, acc)
 	}
-	return st.bestModPlain(i, ci, acc), own
+	return next, own, top
 }
 
 // decideLive is decideSnap's decision for colored sweeps, which read the
@@ -242,9 +259,9 @@ func (st *phaseState) decideLive(i int, membership []int32, acc *par.SparseAccum
 	ci, _ := st.accumSnap(i, membership, acc)
 	var next int32
 	if st.obj == ObjCPM {
-		next = st.bestCPMPlain(i, ci, acc)
+		next, _ = st.bestCPMPlain(i, ci, acc)
 	} else {
-		next = st.bestModPlain(i, ci, acc)
+		next, _ = st.bestModPlain(i, ci, acc)
 	}
 	return next, acc.Val(next) - acc.Val(ci)
 }
@@ -358,15 +375,17 @@ func (st *phaseState) accumAsync(i int, membership []int32, acc *par.SparseAccum
 // reads, applying the generalized and singlet minimum-label heuristics of
 // §5.1 (equal gains resolve to the smaller label; a singlet may enter
 // another singlet community only downward, preventing the §4.2 swap cycles).
+// It also returns the largest gain it computed, −∞ when i has no candidate.
 //
 //grappolo:hotpath
-func (st *phaseState) bestModPlain(i int, ci int32, acc *par.SparseAccum) int32 {
+func (st *phaseState) bestModPlain(i int, ci int32, acc *par.SparseAccum) (int32, float64) {
 	comms := acc.Keys() // first-touch order, comms[0] == ci
 	eOwn := acc.Val(ci) // e_{i→C(i)\{i}}
 	m := st.m
 	ki := st.g.Degree(i)
 	best := ci
 	bestGain := 0.0
+	top := math.Inf(-1)
 	aOwn := st.commDeg[ci] - ki
 	// Loop invariants of Eq. (4), hoisted without reassociating anything:
 	// 2*ki*x parses as (2*ki)*x and st.gamma*y/(4*m*m) as (st.gamma*y)/(4*m*m),
@@ -380,6 +399,9 @@ func (st *phaseState) bestModPlain(i int, ci int32, acc *par.SparseAccum) int32 
 	for _, ct := range comms[1:] {
 		// Eq. (4).
 		gain := (acc.Val(ct)-eOwn)/m + gamma*(ownTerm-twoKi*commDeg[ct])/denom4m2
+		if gain > top {
+			top = gain
+		}
 		switch {
 		case gain > bestGain:
 			bestGain, best = gain, ct
@@ -388,12 +410,12 @@ func (st *phaseState) bestModPlain(i int, ci int32, acc *par.SparseAccum) int32 
 		}
 	}
 	if best == ci || bestGain <= 0 {
-		return ci
+		return ci, top
 	}
 	if st.minLbl && best > ci && st.size[ci] == 1 && st.size[best] == 1 {
-		return ci
+		return ci, top
 	}
-	return best
+	return best, top
 }
 
 // bestModAtomic is bestModPlain with atomic aggregate reads (async sweeps
@@ -436,15 +458,17 @@ func (st *phaseState) bestModAtomic(i int, ci int32, acc *par.SparseAccum) int32
 }
 
 // bestCPMPlain picks the max-gain move under the CPM objective (ΔH/m with
-// the size-based penalty, future work iv) with plain aggregate reads.
+// the size-based penalty, future work iv) with plain aggregate reads. Like
+// bestModPlain it also returns the largest gain it computed.
 //
 //grappolo:hotpath
-func (st *phaseState) bestCPMPlain(i int, ci int32, acc *par.SparseAccum) int32 {
+func (st *phaseState) bestCPMPlain(i int, ci int32, acc *par.SparseAccum) (int32, float64) {
 	comms := acc.Keys()
 	eOwn := acc.Val(ci)
 	m := st.m
 	best := ci
 	bestGain := 0.0
+	top := math.Inf(-1)
 	si := st.nodeSize[i]
 	nsOwnLess := st.commNS[ci] - si
 	// st.cpmGamma*float64(si) is loop-invariant and left-associated, so
@@ -454,6 +478,9 @@ func (st *phaseState) bestCPMPlain(i int, ci int32, acc *par.SparseAccum) int32 
 	commNS := st.commNS
 	for _, ct := range comms[1:] {
 		gain := (acc.Val(ct) - eOwn - gSi*float64(commNS[ct]-nsOwnLess)) / m
+		if gain > top {
+			top = gain
+		}
 		switch {
 		case gain > bestGain:
 			bestGain, best = gain, ct
@@ -462,12 +489,12 @@ func (st *phaseState) bestCPMPlain(i int, ci int32, acc *par.SparseAccum) int32 
 		}
 	}
 	if best == ci || bestGain <= 0 {
-		return ci
+		return ci, top
 	}
 	if st.minLbl && best > ci && st.size[ci] == 1 && st.size[best] == 1 {
-		return ci
+		return ci, top
 	}
-	return best
+	return best, top
 }
 
 // bestCPMAtomic is bestCPMPlain with atomic aggregate reads.
@@ -522,7 +549,7 @@ func (st *phaseState) applyMove(i int, old, next int32) {
 }
 
 // sweepUncolored performs one full parallel iteration without coloring:
-// every vertex decides from the previous iteration's snapshot, with no
+// every vertex's decision reads the previous iteration's snapshot, with no
 // locks. Chunks are arc-balanced over the CSR offsets so a few hub vertices
 // cannot serialize the sweep on skewed inputs, and each worker reuses its
 // pooled accumulator.
@@ -534,13 +561,23 @@ func (st *phaseState) applyMove(i int, old, next int32) {
 // scheduling order, so a_C's low bits — and through them Q's low bits and,
 // where two gains nearly tie, a decision — can vary from run to run.
 //
-// The sweep also scores the snapshot it reads: it records within[i] =
-// ownWeight(i, prev) for every vertex (see decideSnap), so reduceScore can
-// score prev by an O(n) reduction instead of a second pass over the arcs.
+// After the phase's first sweep, which decides every vertex, a sweep skips
+// each vertex whose last decision was to stay when nothing in its row has
+// moved since and the a_C drift cannot have lifted a gain above 0 (see
+// skipState). A skip leaves curr[i] = prev[i] and within[i] as recorded,
+// which is what deciding i would produce, so memberships, scores and
+// iteration counts are those of deciding every vertex. The drift is
+// measured on the a_C the sweeps read, so this holds for any weights and
+// worker count.
+//
+// The sweep also scores the snapshot it reads: within[i] = ownWeight(i,
+// prev) for every vertex (see decideSnap), so reduceScore can score prev by
+// an O(n) reduction instead of a second pass over the arcs.
 func (st *phaseState) sweepUncolored(workers int) {
 	n := st.g.N()
 	copy(st.prev, st.curr)
 	st.refreshAggregates(st.prev, workers)
+	st.trackDrift(workers)
 	// The arc prefix is truncated to the movable range: a pinned suffix
 	// (sweepOwn < n, see Engine.SweepSeeded) is never decided, so the hot
 	// loop carries no per-vertex pin check at all.
@@ -549,19 +586,47 @@ func (st *phaseState) sweepUncolored(workers int) {
 			return
 		}
 		acc := st.scratch[w]
+		skip := st.skip.live
 		for i := lo; i < hi; i++ {
 			if st.pref && i+1 < hi {
 				st.prefetchRow(i+1, st.prev) // hints land while i decides
 			}
-			st.curr[i], st.within[i] = st.decideSnap(i, st.prev, acc)
+			if skip && st.certified(i) {
+				st.skip.moving[i] = 0
+				continue
+			}
+			st.decideRecord(i, acc)
 		}
 	})
-	// Pinned vertices still count in the snapshot's score.
+	// Pinned vertices never move but still count in the snapshot's score,
+	// which changes only when a vertex in their row moved.
 	par.ForChunkCtx(st, n-st.sweepOwn, workers, 0, func(st *phaseState, lo, hi int) {
+		skip := st.skip.live
 		for i := st.sweepOwn + lo; i < st.sweepOwn+hi; i++ {
-			st.within[i] = st.ownWeight(i, st.prev)
+			if !skip || st.rowMoved(i) {
+				st.within[i] = st.ownWeight(i, st.prev)
+			}
+			st.skip.moving[i] = 0
 		}
 	})
+	sk := &st.skip
+	sk.moved, sk.moving = sk.moving, sk.moved
+	sk.live = true
+}
+
+// decideRecord decides vertex i in an uncolored sweep and records what the
+// next sweep's skip test reads: whether i moved and, for a stay, expire[i].
+//
+//grappolo:hotpath
+func (st *phaseState) decideRecord(i int, acc *par.SparseAccum) {
+	next, own, top := st.decideSnap(i, st.prev, acc)
+	st.curr[i], st.within[i] = next, own
+	if next != st.prev[i] {
+		st.skip.moving[i] = 1
+		return
+	}
+	st.skip.moving[i] = 0
+	st.skip.expire[i] = st.expiry(i, top)
 }
 
 // decideColoredSet and applyColoredSet are the two stages of one color set

@@ -13,15 +13,29 @@ import (
 	"grappolo/internal/par"
 )
 
+// fullSweep is the uncolored sweep without the skip: every movable vertex
+// decides with decideSnap against the snapshot and the a_C refreshed from
+// it. Decisions read only the snapshot and the aggregates, so deciding in
+// id order on one accumulator gives what any chunking would.
+func fullSweep(st *phaseState, workers int) {
+	copy(st.prev, st.curr)
+	st.refreshAggregates(st.prev, workers)
+	acc := st.scratch[0]
+	for i := 0; i < st.sweepOwn; i++ {
+		st.curr[i], _, _ = st.decideSnap(i, st.prev, acc)
+	}
+}
+
 // referencePhase runs the iterations of one uncolored phase from the
-// assignment in st.curr the direct way: every sweep is followed by a full
-// score of the assignment it produced. It is the oracle for the scored
-// snapshot sweep, which must reproduce its trace, iteration count and final
+// assignment in st.curr the direct way: every vertex is decided in every
+// sweep (fullSweep), and every sweep is followed by a full score of the
+// assignment it produced. It is the oracle for the scored snapshot sweep
+// and its skip, which must reproduce its trace, iteration count and final
 // membership bit for bit.
 func referencePhase(st *phaseState, threshold float64, maxIter, workers int) (trace []float64, q float64) {
 	q = st.score(workers)
 	for maxIter == 0 || len(trace) < maxIter {
-		st.sweepUncolored(workers)
+		fullSweep(st, workers)
 		next := st.score(workers)
 		trace = append(trace, next)
 		gain := next - q
@@ -128,17 +142,19 @@ func noisyLoopGraph(n, deg int, seed uint64) *graph.Graph {
 	return b.Build(1)
 }
 
-// TestScoredSweepMatchesReference pins the scored snapshot sweep: Engine
-// phases score each state in the sweep after the one that made it and undo
-// the last, speculative sweep, yet must match the sweep-then-score loop on
-// trace bits, iteration counts and memberships — on the Small suite and down
-// each coarsening chain, for the modularity and CPM objectives, a non-default
+// TestScoredSweepMatchesReference pins the scored snapshot sweep and its
+// skip: Engine phases score each state in the sweep after the one that made
+// it, undo the last, speculative sweep and skip certified stays, yet must
+// match the decide-everything, sweep-then-score loop on trace bits,
+// iteration counts and memberships — on the Small suite and down each
+// coarsening chain, for the modularity and CPM objectives, a non-default
 // resolution and iteration caps that end phases on the cap.
 func TestScoredSweepMatchesReference(t *testing.T) {
 	configs := map[string]Options{
 		"w1":          {Workers: 1},
 		"w4":          {Workers: 4},
 		"cpm-w4":      {Workers: 4, Objective: ObjCPM, CPMGamma: 0.5},
+		"cpm0.1-w1":   {Workers: 1, Objective: ObjCPM, CPMGamma: 0.1},
 		"res0.5-w4":   {Workers: 4, Resolution: 0.5},
 		"maxiter1-w4": {Workers: 4, MaxIterations: 1},
 		"maxiter2-w1": {Workers: 1, MaxIterations: 2},

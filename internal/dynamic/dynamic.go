@@ -25,11 +25,13 @@ import (
 )
 
 // ErrBadWeight is returned by AddEdge for a weight that is not a positive
-// finite number. NaN, ±Inf, zero and negative weights are all rejected: a
-// single NaN admitted into the overlay poisons m2, the degrees and every
-// community degree, making Modularity() NaN forever after, and a silent
-// ≤0→1 coercion would hide caller bugs the same way the pre-validation
-// Options fields used to. Match with errors.Is.
+// finite number, or that would make the total edge weight infinite once the
+// buffered edges are applied. NaN, ±Inf, zero and negative weights are all
+// rejected: a single NaN admitted into the overlay poisons m2, the degrees
+// and every community degree, making Modularity() NaN forever after, and a
+// silent ≤0→1 coercion would hide caller bugs the same way the
+// pre-validation Options fields used to. An infinite total does the same to
+// m2, and a full re-detection on it never ends. Match with errors.Is.
 var ErrBadWeight = errors.New("dynamic: edge weight must be a positive finite number")
 
 // Options configure the maintainer.
@@ -85,7 +87,10 @@ type Maintainer struct {
 	commDeg []float64
 	m2      float64
 	pending []graph.Edge
-	touched map[int32]struct{}
+	// pendingM2 is m2 once pending is applied, summed in the order
+	// FlushCtx applies it; meaningful only while pending is not empty.
+	pendingM2 float64
+	touched   map[int32]struct{}
 	// fullRun scratch, persistent across refreshes: the snapshot edge
 	// staging buffer and the engine's run target.
 	edgeBuf []graph.Edge
@@ -237,6 +242,19 @@ func (m *Maintainer) AddEdgeCtx(ctx context.Context, u, v int32, w float64) erro
 	if !(w > 0) || math.IsInf(w, 0) {
 		return fmt.Errorf("%w: edge (%d, %d) has weight %v", ErrBadWeight, u, v, w)
 	}
+	total := m.m2
+	if len(m.pending) > 0 {
+		total = m.pendingM2
+	}
+	if u == v {
+		total += w
+	} else {
+		total += 2 * w
+	}
+	if math.IsInf(total, 0) {
+		return fmt.Errorf("%w: edge (%d, %d) of weight %v makes the total edge weight infinite", ErrBadWeight, u, v, w)
+	}
+	m.pendingM2 = total
 	m.pending = append(m.pending, graph.Edge{U: u, V: v, W: w})
 	if len(m.pending) >= m.opts.BatchSize {
 		return m.FlushCtx(ctx)

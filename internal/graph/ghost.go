@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // GhostSubgraph extracts the subgraph induced by vertices — which become
@@ -53,7 +53,7 @@ func GhostSubgraph(g *Graph, vertices []int32, p int) (*Graph, []int32, []int32,
 			}
 		}
 	}
-	sort.Slice(ghosts, func(a, b int) bool { return ghosts[a] < ghosts[b] })
+	slices.Sort(ghosts)
 	for t, gv := range ghosts {
 		remap[gv] = int32(nLocal + t)
 	}

@@ -347,6 +347,18 @@ func MaxInt64(n, p int, f func(i int) int64) int64 {
 // ForChunkWorkerCtx for why: captureless bodies make single-worker calls
 // allocation-free).
 func MaxInt64Ctx[C any](ctx C, n, p int, f func(ctx C, i int) int64) int64 {
+	return maxCtx(ctx, n, p, f)
+}
+
+// MaxFloat64Ctx is MaxInt64Ctx for float64 values, compared with >. Like
+// every reduction here it calls f exactly once per index, so f may also
+// update state it owns at that index.
+func MaxFloat64Ctx[C any](ctx C, n, p int, f func(ctx C, i int) float64) float64 {
+	return maxCtx(ctx, n, p, f)
+}
+
+// maxCtx is the body of MaxInt64Ctx and MaxFloat64Ctx.
+func maxCtx[C any, T int64 | float64](ctx C, n, p int, f func(ctx C, i int) T) T {
 	if n == 0 {
 		return 0
 	}
@@ -360,7 +372,7 @@ func MaxInt64Ctx[C any](ctx C, n, p int, f func(ctx C, i int) int64) int64 {
 		}
 		return m
 	}
-	partials := make([]int64, p)
+	partials := make([]T, p)
 	ForStatic(n, p, func(w, lo, hi int) {
 		m := f(ctx, lo)
 		for i := lo + 1; i < hi; i++ {

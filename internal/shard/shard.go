@@ -30,7 +30,7 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -307,7 +307,7 @@ func (st *shardState) sweep(ctx context.Context, g *graph.Graph, labels, next []
 	// the sorted unique global labels, so local label t ↔ back[t] and the
 	// ascending order preserves min-label tie-break semantics globally.
 	st.back = append(st.back[:0], st.glob...)
-	sortInt32(st.back)
+	slices.Sort(st.back)
 	st.back = uniqueInt32(st.back)
 	for i, gl := range st.glob {
 		st.seed[i] = int32(searchInt32(st.back, gl))
@@ -414,10 +414,6 @@ func indexOf(states []*shardState, st *shardState) int {
 		}
 	}
 	return -1
-}
-
-func sortInt32(v []int32) {
-	sort.Slice(v, func(a, b int) bool { return v[a] < v[b] })
 }
 
 // uniqueInt32 compacts a sorted slice in place.

@@ -3,7 +3,7 @@ package shard
 import (
 	"context"
 	"math"
-	"sort"
+	"slices"
 	"testing"
 
 	"grappolo/internal/core"
@@ -270,8 +270,8 @@ func TestRenumberDense(t *testing.T) {
 
 func TestSortSearchHelpers(t *testing.T) {
 	v := []int32{4, 1, 4, 9, 1, 0}
-	sortInt32(v)
-	if !sort.SliceIsSorted(v, func(a, b int) bool { return v[a] < v[b] }) {
+	slices.Sort(v)
+	if !slices.IsSorted(v) {
 		t.Fatalf("not sorted: %v", v)
 	}
 	u := uniqueInt32(v)

@@ -9,10 +9,12 @@ import (
 )
 
 // ErrBadEdgeWeight is returned by Stream.AddEdge when the edge weight is
-// not a positive finite number (NaN, ±Inf, zero or negative). A bad weight
-// is rejected before it can touch the overlay — silently coercing it, as
-// builders do for offline input, would corrupt the live modularity
-// bookkeeping every later batch builds on.
+// not a positive finite number (NaN, ±Inf, zero or negative), or when
+// adding it to the stream's total edge weight, buffered edges included,
+// would make that total infinite. A bad weight is rejected before it can
+// touch the overlay — silently coercing it, as builders do for offline
+// input, would corrupt the live modularity bookkeeping every later batch
+// builds on.
 var ErrBadEdgeWeight = dynamic.ErrBadWeight
 
 // Stream maintains communities under a live stream of edge insertions — the
@@ -71,8 +73,13 @@ func LocalRounds(n int) StreamOption {
 // detection. Detection options (the same Option values New accepts)
 // configure the full re-detection runs; stream options configure batching
 // and refresh policy. The incremental overlay maintains standard
-// modularity, so CPM and Async configurations are rejected.
+// modularity, so CPM and Async configurations are rejected. The seed is
+// checked as every detection entry point checks its graph: ErrNilGraph for
+// nil, an *InputError when its total edge weight is not finite.
 func NewStream(seed *Graph, detectOpts []Option, streamOpts ...StreamOption) (*Stream, error) {
+	if err := checkGraph(seed); err != nil {
+		return nil, err
+	}
 	o, err := buildOptions(detectOpts)
 	if err != nil {
 		return nil, err
@@ -98,14 +105,21 @@ func NewStream(seed *Graph, detectOpts []Option, streamOpts ...StreamOption) (*S
 // AddEdge buffers an undirected edge insertion; endpoints beyond the
 // current vertex set grow it (new vertices start as singleton communities).
 // The edge is applied once the buffer reaches BatchSize, or on Flush.
-// Weights that are not positive finite numbers are rejected with
-// ErrBadEdgeWeight.
-func (s *Stream) AddEdge(u, v int32, w float64) error { return s.m.AddEdge(u, v, w) }
+// A negative endpoint is rejected with an *InputError naming "edge", and a
+// weight that is not a positive finite number, or that would make the
+// total edge weight infinite, with ErrBadEdgeWeight; either leaves the
+// stream unchanged.
+func (s *Stream) AddEdge(u, v int32, w float64) error {
+	return s.AddEdgeCtx(context.Background(), u, v, w)
+}
 
 // AddEdgeCtx is AddEdge under a context: if buffering crosses BatchSize,
 // the triggered batch apply (and any full re-detection it escalates to)
 // honors ctx. See FlushCtx for the failure contract.
 func (s *Stream) AddEdgeCtx(ctx context.Context, u, v int32, w float64) error {
+	if u < 0 || v < 0 {
+		return &InputError{Arg: "edge", Reason: fmt.Sprintf("negative vertex id in (%d, %d)", u, v)}
+	}
 	return s.m.AddEdgeCtx(ctx, u, v, w)
 }
 

@@ -46,10 +46,11 @@ func (e *EngineFaultError) Error() string {
 func (e *EngineFaultError) Is(target error) bool { return target == ErrEngineFault }
 
 // ErrInvalidInput is matched (errors.Is) by the error Modularity,
-// AnalyzeCommunities, Stream.AddEdge and the detection entry points return
-// for an argument they refuse: a membership that does not give each of the
-// graph's vertices one label in [0, g.N()) (Modularity, AnalyzeCommunities),
-// a resolution that is not a finite number (Modularity), a threshold that
+// AnalyzeCommunities, CommunitySizes, Stream.AddEdge and the detection entry
+// points return for an argument they refuse: a membership that does not give
+// each of the graph's vertices one label in [0, g.N()) (Modularity,
+// AnalyzeCommunities), a label outside [0, len(membership))
+// (CommunitySizes), a resolution that is not a finite number (Modularity), a threshold that
 // is not a finite number (DetectSerial), an edge with a negative endpoint
 // (Stream.AddEdge), or a graph whose total edge weight is not a finite
 // number (every detection entry point and NewStream: a Builder keeps NaN
@@ -58,8 +59,8 @@ func (e *EngineFaultError) Is(target error) bool { return target == ErrEngineFau
 // instead.
 var ErrInvalidInput = errors.New("grappolo: invalid input")
 
-// InputError reports an argument Modularity, AnalyzeCommunities or a
-// detection entry point refuses, and why. It matches ErrInvalidInput under
+// InputError reports an argument Modularity, AnalyzeCommunities,
+// CommunitySizes or a detection entry point refuses, and why. It matches ErrInvalidInput under
 // errors.Is.
 type InputError struct {
 	// Arg names the argument: "membership", "gamma", "threshold", "edge"

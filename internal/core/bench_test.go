@@ -41,7 +41,7 @@ func TestDecideSteadyStateZeroAllocs(t *testing.T) {
 	g := generate.MustGenerate(generate.RGG, generate.Small, 0, 1)
 	st := newPhaseState(g, Options{Resolution: 1}.Defaults(), nil, 1)
 	copy(st.prev, st.curr)
-	st.refreshAggregates(st.prev, 1)
+	st.refreshAggregates(1)
 	acc := st.scratch[0]
 	n := g.N()
 	for _, k := range []struct {

@@ -325,10 +325,12 @@ func (e *Engine) runPhase(g *graph.Graph, threshold float64, colorSets *coloring
 // sweepUncolored): sweep k+1 scores state k. Its first sweep therefore
 // scores the starting assignment, and its last sweep — the one that finds
 // the gain below threshold, or the one after MaxIterations — is
-// speculative: curr ← prev undoes its moves. Iteration counts, score traces
-// and memberships are those of scoring each state right after the sweep
-// that made it; the phase pays one extra sweep instead of a scoring pass
-// over every arc per iteration. Colored and async phases score each state
+// speculative: curr ← prev undoes its moves. A sweep applies its
+// predecessor's moves to the aggregates as it opens, so the speculative
+// sweep's moves never reach them, and after the undo they describe curr.
+// Iteration counts, score traces and memberships are those of scoring each
+// state right after the sweep that made it; the phase pays one extra sweep
+// instead of a scoring pass over every arc per iteration. Colored and async phases score each state
 // after the sweep that made it. A colored phase scores its starting state
 // once in full and every later state from the moves of the sweep that made
 // it (scoreMoves); an async phase's adjacent vertices move at the same

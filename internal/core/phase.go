@@ -61,11 +61,11 @@ type phaseState struct {
 	// state it read or built scores without a second pass over the arcs.
 	// After an uncolored sweep it is e_{i→C(i)} under prev, self-loop
 	// included: i's term of the within-community sum of Eq. (3). A vertex
-	// the sweep skipped keeps the value recorded at its last decision,
-	// which is still ownWeight(i, prev) bit for bit: neither i nor any
-	// vertex in its row has moved since (see sweepUncolored). After a
-	// colored sweep it is the change i's move made to e_{i→C(i)}, 0 when i
-	// stayed (see decideLive).
+	// the sweep skipped, and a pinned vertex no mover stamped, keeps the
+	// value recorded when it was last decided or scored, which is still
+	// ownWeight(i, prev) bit for bit: neither i nor any vertex in its row
+	// has moved since (see skipState). After a colored sweep it is the
+	// change i's move made to e_{i→C(i)}, 0 when i stayed (see decideLive).
 	within []float64
 	// skip lets uncolored sweeps skip the vertices whose last decision, a
 	// stay, provably repeats.
@@ -77,10 +77,9 @@ type phaseState struct {
 	// transient loop-body inputs (set immediately before the loops that read
 	// them; carried here so the captureless bodies reach them via the state
 	// pointer).
-	refreshFrom []int32   // refreshAggregates input assignment
-	curSet      []int32   // sweepColored's current color set
-	mergeSets   [][]int32 // sweepColored's current run of merged small sets
-	prefixSets  [][]int32 // colorPrefix build input sets
+	curSet     []int32   // sweepColored's current color set
+	mergeSets  [][]int32 // sweepColored's current run of merged small sets
+	prefixSets [][]int32 // colorPrefix build input sets
 	// ctx/cancel carry the owning run's cooperative cancellation (nil when
 	// the run is not cancellable — standalone states and plain Run/RunInto).
 	// ctx is polled at the barriers between sweeps and color sets; the
@@ -156,13 +155,15 @@ func newPhaseState(g *graph.Graph, opts Options, nodeSize []int64, workers int) 
 }
 
 // refreshAggregates recomputes a_C and |C| (and the CPM node-size sums)
-// from the given assignment: prev before an uncolored sweep, curr when score
-// scores it. Colored and async sweeps keep the aggregates current move by
-// move (applyMove) from the ones score left; a colored phase refreshes only
-// for its opening score. An uncolored sweep's skip bounds the drift of what
-// this refresh leaves, bits included (see skipState), so any refresh the
-// sweeps read keeps the skip exact, however it orders its sums.
-func (st *phaseState) refreshAggregates(from []int32, workers int) {
+// from curr. It runs only where a phase opens and in score: before the
+// first uncolored sweep of a phase, whose start is singletons or
+// SweepSeeded's seed, for a colored phase's opening score, and for every
+// score of an async phase. Every other sweep carries the aggregates by its
+// moves (applyMove): colored and async sweeps as they move, uncolored sweeps
+// in the apply stage that opens the next sweep. An uncolored sweep's skip
+// bounds the drift of the aggregates it reads, bits included (see
+// skipState), so it stays exact however they were summed.
+func (st *phaseState) refreshAggregates(workers int) {
 	n := st.g.N()
 	if par.Workers(workers, n) == 1 {
 		// Single effective worker (small graph or 1-P run): the atomic
@@ -179,7 +180,7 @@ func (st *phaseState) refreshAggregates(from []int32, workers int) {
 			}
 		}
 		for i := 0; i < n; i++ {
-			c := from[i]
+			c := st.curr[i]
 			st.commDeg[c] += st.g.Degree(i)
 			st.size[c]++
 			if st.commNS != nil {
@@ -188,7 +189,6 @@ func (st *phaseState) refreshAggregates(from []int32, workers int) {
 		}
 		return
 	}
-	st.refreshFrom = from
 	par.ForChunkCtx(st, n, workers, 0, func(st *phaseState, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			st.commDeg[i] = 0
@@ -200,7 +200,7 @@ func (st *phaseState) refreshAggregates(from []int32, workers int) {
 	})
 	par.ForChunkCtx(st, n, workers, 0, func(st *phaseState, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			c := st.refreshFrom[i]
+			c := st.curr[i]
 			par.AddFloat64(&st.commDeg[c], st.g.Degree(i))
 			atomicAdd64(&st.size[c], 1)
 			if st.commNS != nil {
@@ -208,7 +208,6 @@ func (st *phaseState) refreshAggregates(from []int32, workers int) {
 			}
 		}
 	})
-	st.refreshFrom = nil
 }
 
 // decideSnap computes vertex i's new community per Eqs. (4)–(5) with the
@@ -554,29 +553,47 @@ func (st *phaseState) applyMove(i int, old, next int32) {
 // cannot serialize the sweep on skewed inputs, and each worker reuses its
 // pooled accumulator.
 //
-// Decisions read the snapshot and the a_C that refreshAggregates rebuilds
-// from it. With integer edge weights, or one worker, a_C is exact and the
-// sweep's outcome is the same for any worker count. With non-integer
-// weights and several workers, the refresh's atomic float adds land in
-// scheduling order, so a_C's low bits — and through them Q's low bits and,
-// where two gains nearly tie, a decision — can vary from run to run.
+// Decisions read the snapshot and its a_C. The phase's first sweep rebuilds
+// a_C from its start (refreshAggregates); every later sweep opens with an
+// apply stage that carries them by the last sweep's moves: each vertex with
+// curr[i] != prev[i] migrates through applyMove, the atomic update colored
+// sweeps use, and curr becomes the snapshot. With integer edge weights a_C is
+// exact however it is summed, so the sweep's outcome is the same for any
+// worker count and equals re-summing a_C from the snapshot. At one worker the
+// moves apply in ascending id order, so runs repeat for any weights. With
+// non-integer weights and several workers, the apply stage's atomic float
+// adds land in scheduling order, and their rounding carries through the
+// phase, so a_C's low bits — and through them Q's low bits and, where two
+// gains nearly tie, a decision — can vary from run to run.
+//
+// The apply stage finds the last sweep's moves by comparing curr with prev,
+// so between two uncolored sweeps of a phase only the sweep itself may
+// change curr. A phase's last sweep is speculative (see Engine.iterate):
+// undoing it leaves curr = prev, and its moves are never applied, so the
+// aggregates describe curr when the phase returns.
 //
 // After the phase's first sweep, which decides every vertex, a sweep skips
-// each vertex whose last decision was to stay when nothing in its row has
-// moved since and the a_C drift cannot have lifted a gain above 0 (see
-// skipState). A skip leaves curr[i] = prev[i] and within[i] as recorded,
-// which is what deciding i would produce, so memberships, scores and
-// iteration counts are those of deciding every vertex. The drift is
-// measured on the a_C the sweeps read, so this holds for any weights and
-// worker count.
+// each vertex whose last decision was to stay when no mover has stamped it
+// since, that is, nothing in its row has moved, and the a_C drift cannot
+// have lifted a gain above 0 (see skipState). A skip leaves curr[i] =
+// prev[i] and within[i] as recorded, which is what deciding i would
+// produce, so memberships, scores and iteration counts are those of
+// deciding every vertex. The drift is measured on the a_C the sweeps read,
+// so this holds for any weights and worker count.
 //
 // The sweep also scores the snapshot it reads: within[i] = ownWeight(i,
 // prev) for every vertex (see decideSnap), so reduceScore can score prev by
 // an O(n) reduction instead of a second pass over the arcs.
 func (st *phaseState) sweepUncolored(workers int) {
 	n := st.g.N()
-	copy(st.prev, st.curr)
-	st.refreshAggregates(st.prev, workers)
+	sk := &st.skip
+	if sk.live {
+		sk.epoch++
+		par.ForChunkCtx(st, n, workers, 0, applySwept)
+	} else {
+		copy(st.prev, st.curr)
+		st.refreshAggregates(workers)
+	}
 	st.trackDrift(workers)
 	// The arc prefix is truncated to the movable range: a pinned suffix
 	// (sweepOwn < n, see Engine.SweepSeeded) is never decided, so the hot
@@ -592,7 +609,6 @@ func (st *phaseState) sweepUncolored(workers int) {
 				st.prefetchRow(i+1, st.prev) // hints land while i decides
 			}
 			if skip && st.certified(i) {
-				st.skip.moving[i] = 0
 				continue
 			}
 			st.decideRecord(i, acc)
@@ -602,31 +618,42 @@ func (st *phaseState) sweepUncolored(workers int) {
 	// which changes only when a vertex in their row moved.
 	par.ForChunkCtx(st, n-st.sweepOwn, workers, 0, func(st *phaseState, lo, hi int) {
 		skip := st.skip.live
+		stamp, epoch := st.skip.stamp, st.skip.epoch
 		for i := st.sweepOwn + lo; i < st.sweepOwn+hi; i++ {
-			if !skip || st.rowMoved(i) {
+			if !skip || stamp[i] == epoch {
 				st.within[i] = st.ownWeight(i, st.prev)
 			}
-			st.skip.moving[i] = 0
 		}
 	})
-	sk := &st.skip
-	sk.moved, sk.moving = sk.moving, sk.moved
 	sk.live = true
 }
 
-// decideRecord decides vertex i in an uncolored sweep and records what the
-// next sweep's skip test reads: whether i moved and, for a stay, expire[i].
+// applySwept is the apply stage of an uncolored sweep over vertices lo..hi-1:
+// each vertex the last sweep moved migrates its contributions to the
+// aggregates, takes its new community into prev, and stamps itself and its
+// row for the skip test (see skipState).
+//
+//grappolo:hotpath
+func applySwept(st *phaseState, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if old, next := st.prev[i], st.curr[i]; next != old {
+			st.applyMove(i, old, next)
+			st.prev[i] = next
+			st.stampRow(i)
+		}
+	}
+}
+
+// decideRecord decides vertex i in an uncolored sweep and, for a stay,
+// records expire[i], which the next sweep's skip test reads.
 //
 //grappolo:hotpath
 func (st *phaseState) decideRecord(i int, acc *par.SparseAccum) {
 	next, own, top := st.decideSnap(i, st.prev, acc)
 	st.curr[i], st.within[i] = next, own
-	if next != st.prev[i] {
-		st.skip.moving[i] = 1
-		return
+	if next == st.prev[i] {
+		st.skip.expire[i] = st.expiry(i, top)
 	}
-	st.skip.moving[i] = 0
-	st.skip.expire[i] = st.expiry(i, top)
 }
 
 // decideColoredSet and applyColoredSet are the two stages of one color set
@@ -741,8 +768,8 @@ const colorMergeCutoff = 2048
 // aggregates are exact: a colored sweep's outcome is the same on every run
 // for a given coloring and worker count. With non-integer weights and
 // several workers, the atomic float adds of the apply stage land in
-// scheduling order, as in refreshAggregates, and since no refresh follows a
-// colored sweep, their rounding carries through the phase.
+// scheduling order, as in an uncolored sweep's apply stage, and since no
+// refresh follows a colored sweep, their rounding carries through the phase.
 //
 // Within a set, decide chunks are balanced by member arc counts (prefix
 // sum over OutDegree into the pooled colorPrefix buffers) — unless the
@@ -861,7 +888,7 @@ func (st *phaseState) sweepAsync(workers int) {
 // arc, and leaves curr's a_C, |C| and CPM node-size sums in place, where the
 // next colored or async sweep reads them, and curr's within sum in in.
 func (st *phaseState) score(workers int) float64 {
-	st.refreshAggregates(st.curr, workers)
+	st.refreshAggregates(workers)
 	st.in = par.SumFloat64Ctx(st, st.g.N(), workers, currWithin)
 	return st.reduceScore(st.in, workers)
 }

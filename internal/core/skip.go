@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 
 	"grappolo/internal/par"
 )
@@ -22,19 +23,26 @@ import (
 // w_i·(budget − budget then) < −top − tol_i, where tol_i covers the rounding
 // of the two evaluations of a gain; expire[i] is the budget at which that
 // stops holding.
+//
+// Movers stamp their rows: the apply stage that opens every sweep after the
+// first (see sweepUncolored) bumps epoch and sets stamp[v] = epoch for each
+// vertex v the last sweep moved and for every vertex in v's row. Rows are
+// symmetric, so stamp[i] == epoch exactly when i or a vertex in its row
+// moved in the last sweep. epoch is never reset, so the stamps earlier
+// sweeps, phases and runs left need no clear pass: only after the counter
+// wraps at 2^32 applies can a stale stamp equal it, which costs a decision,
+// never a wrong skip.
 type skipState struct {
-	live   bool      // a sweep of this phase has decided every vertex
-	budget float64   // the drift bounds summed over the phase's sweeps
-	expire []float64 // budget at which vertex i's last stay stops being certified
-	// moved[i] is 1 when the last sweep moved i. The sweep in progress
-	// writes moving[i] for every vertex, skipped and pinned ones included,
-	// and the two swap after it, so neither needs clearing.
-	moved, moving []uint8
-	degSeen       []float64 // a_C as the last sweep read it (modularity)
-	nsSeen        []int64   // commNS as the last sweep read it (CPM)
-	rate          float64   // budget increment per unit of D
-	tol           float64   // tol_i = tol·(k_i + tolNS·s_i) + tolFloor
-	tolNS         float64   // γ·Σ nodeSize under CPM, 0 under modularity
+	live    bool      // a sweep of this phase has decided every vertex; the next applies its moves
+	budget  float64   // the drift bounds summed over the phase's sweeps
+	expire  []float64 // budget at which vertex i's last stay stops being certified
+	stamp   []uint32  // the last epoch in which i or a vertex in its row moved
+	epoch   uint32    // the current sweep's apply
+	degSeen []float64 // a_C as the last sweep read it (modularity)
+	nsSeen  []int64   // commNS as the last sweep read it (CPM)
+	rate    float64   // budget increment per unit of D
+	tol     float64   // tol_i = tol·(k_i + tolNS·s_i) + tolFloor
+	tolNS   float64   // γ·Σ nodeSize under CPM, 0 under modularity
 }
 
 const (
@@ -58,8 +66,7 @@ func (st *phaseState) startSkip() {
 	sk := &st.skip
 	n := st.g.N()
 	sk.expire = par.Resize(sk.expire, n)
-	sk.moved = par.Resize(sk.moved, n)
-	sk.moving = par.Resize(sk.moving, n)
+	sk.stamp = par.Resize(sk.stamp, n)
 	m, scale := st.m, st.gamma
 	if st.commNS != nil {
 		sk.nsSeen = par.Resize(sk.nsSeen, n)
@@ -123,28 +130,34 @@ func nsDrift(st *phaseState, c int) int64 {
 }
 
 // certified reports whether vertex i's last decision, a stay, repeats in
-// this sweep: i did not move, no vertex in its row moved in the last sweep
-// (nor, since the same test held in every sweep that skipped i, since i
-// decided), and the budget has not reached expire[i].
+// this sweep: the budget has not reached expire[i], and no mover of the last
+// sweep stamped i (nor, since the same test held in every sweep that
+// skipped i, of any sweep since i decided).
 //
 //grappolo:hotpath
 func (st *phaseState) certified(i int) bool {
 	sk := &st.skip
-	return sk.moved[i] == 0 && sk.budget < sk.expire[i] && !st.rowMoved(i)
+	return sk.budget < sk.expire[i] && sk.stamp[i] != sk.epoch
 }
 
-// rowMoved reports whether the last sweep moved a vertex in i's row.
+// stampRow stamps mover i and every vertex in its row with the current
+// epoch. Movers in other apply chunks stamp the same vertices, so a stamp is
+// read and written atomically, and written only when it differs; the
+// barrier after the apply stage orders these writes before the decide
+// pass's plain reads.
 //
 //grappolo:hotpath
-func (st *phaseState) rowMoved(i int) bool {
+func (st *phaseState) stampRow(i int) {
+	stamp, epoch := st.skip.stamp, st.skip.epoch
+	if atomic.LoadUint32(&stamp[i]) != epoch {
+		atomic.StoreUint32(&stamp[i], epoch)
+	}
 	nbr, _ := st.g.Neighbors(i)
-	moved := st.skip.moved
 	for _, j := range nbr {
-		if moved[j] != 0 {
-			return true
+		if atomic.LoadUint32(&stamp[j]) != epoch {
+			atomic.StoreUint32(&stamp[j], epoch)
 		}
 	}
-	return false
 }
 
 // expiry is expire[i] for a stay whose largest candidate gain was top: −∞

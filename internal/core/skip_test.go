@@ -105,6 +105,7 @@ func TestSkippedStaysMatchFullSweep(t *testing.T) {
 	noisy := noisyLoopGraph(3000, 8, 7)
 	checkSkipSweeps(t, "noisy/w1", noisy, Options{Workers: 1}, nil, noisy.N())
 	checkSkipSweeps(t, "noisy/cpm-w1", noisy, Options{Workers: 1, Objective: ObjCPM, CPMGamma: 0.1}, nil, noisy.N())
+	t.Logf("skipped %d of %d vertex visits", skipped, visits)
 	if skipped*3 < visits {
 		t.Fatalf("skipped %d of %d vertex visits, want at least a third", skipped, visits)
 	}

@@ -19,7 +19,7 @@ import (
 // id order on one accumulator gives what any chunking would.
 func fullSweep(st *phaseState, workers int) {
 	copy(st.prev, st.curr)
-	st.refreshAggregates(st.prev, workers)
+	st.refreshAggregates(workers)
 	acc := st.scratch[0]
 	for i := 0; i < st.sweepOwn; i++ {
 		st.curr[i], _, _ = st.decideSnap(i, st.prev, acc)

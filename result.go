@@ -70,10 +70,16 @@ func checkMembership(g *Graph, membership []int32) error {
 	if g == nil {
 		return ErrNilGraph
 	}
-	n := g.N()
-	if len(membership) != n {
+	if n := g.N(); len(membership) != n {
 		return &InputError{Arg: "membership", Reason: fmt.Sprintf("length %d, graph has %d vertices", len(membership), n)}
 	}
+	return checkLabels(membership)
+}
+
+// checkLabels returns an *InputError when a label of membership lies outside
+// [0, len(membership)).
+func checkLabels(membership []int32) error {
+	n := len(membership)
 	for v, c := range membership {
 		if c < 0 || int(c) >= n {
 			return &InputError{Arg: "membership", Reason: fmt.Sprintf("vertex %d has label %d outside [0, %d)", v, c, n)}
@@ -82,7 +88,14 @@ func checkMembership(g *Graph, membership []int32) error {
 	return nil
 }
 
-// CommunitySizes returns the size of each community of a dense membership.
-func CommunitySizes(membership []int32) []int {
-	return core.CommunitySizes(membership)
+// CommunitySizes returns the size of each community of a membership,
+// indexed by community id: length max label + 1, labels absent from the
+// membership count 0, and nil for an empty membership. Labels must lie in
+// [0, len(membership)), as every detection's output does; any other label
+// returns an *InputError before anything is allocated.
+func CommunitySizes(membership []int32) ([]int, error) {
+	if err := checkLabels(membership); err != nil {
+		return nil, err
+	}
+	return core.CommunitySizes(membership), nil
 }

@@ -3,6 +3,7 @@ package grappolo_test
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"grappolo"
@@ -65,5 +66,38 @@ func TestModularityRejectsBadInput(t *testing.T) {
 	q, err := grappolo.Modularity(four, []int32{0, 0, 1, 1}, 1, 2)
 	if err != nil || math.Abs(q-1.0/6) > 1e-15 {
 		t.Fatalf("valid input: Q=%v err=%v, want 1/6", q, err)
+	}
+}
+
+// TestCommunitySizesRejectsBadInput is TestModularityRejectsBadInput for
+// CommunitySizes, which has no graph to bound its labels: a label outside
+// [0, len(membership)) is an *InputError returned before the result is
+// allocated, where it used to panic on a negative label and allocate 16 GiB
+// for a label of 2^31−1.
+func TestCommunitySizesRejectsBadInput(t *testing.T) {
+	cases := []struct {
+		name       string
+		membership []int32
+		sizes      []int
+		bad        bool
+	}{
+		{"negative label", []int32{0, -1}, nil, true},
+		{"label equal to the length", []int32{0, 2}, nil, true},
+		{"label 2^31-1", []int32{0, math.MaxInt32, 1}, nil, true},
+		{"valid", []int32{2, 0, 2, 2}, []int{1, 0, 3}, false},
+		{"empty", nil, nil, false},
+	}
+	for _, c := range cases {
+		sizes, err := grappolo.CommunitySizes(c.membership)
+		if !c.bad {
+			if err != nil || !slices.Equal(sizes, c.sizes) {
+				t.Errorf("%s: sizes %v, err %v; want %v, nil", c.name, sizes, err, c.sizes)
+			}
+			continue
+		}
+		var ie *grappolo.InputError
+		if sizes != nil || !errors.Is(err, grappolo.ErrInvalidInput) || !errors.As(err, &ie) || ie.Arg != "membership" {
+			t.Errorf("%s: sizes %v, err %v; want nil and an *InputError on membership", c.name, sizes, err)
+		}
 	}
 }

@@ -28,10 +28,6 @@ func publicConfigs() map[string]struct {
 	}
 	colored1 := core.Options{Workers: 1, Coloring: core.ColorMultiPhase, ColoringVertexCutoff: 1}
 	withBal := func(o core.Options, b core.ColorBalance) core.Options { o.ColorBalance = b; return o }
-	d2 := colored1
-	d2.Distance2Coloring = true
-	jp := colored1
-	jp.JonesPlassmann = true
 	return map[string]cfg{
 		"baseline-w4": {
 			[]grappolo.Option{grappolo.Workers(4)},
@@ -42,9 +38,6 @@ func publicConfigs() map[string]struct {
 		"hierarchy-w4": {
 			[]grappolo.Option{grappolo.Workers(4), grappolo.KeepHierarchy()},
 			core.Options{Workers: 4, KeepHierarchy: true}},
-		"serialrenumber-w2": {
-			[]grappolo.Option{grappolo.Workers(2), grappolo.SerialRenumber()},
-			core.Options{Workers: 2, SerialRenumber: true}},
 		"cpm-w4": {
 			[]grappolo.Option{grappolo.Workers(4), grappolo.CPM(0.5)},
 			core.Options{Workers: 4, Objective: core.ObjCPM, CPMGamma: 0.5}},
@@ -57,12 +50,9 @@ func publicConfigs() map[string]struct {
 		"color-auto-w1": {
 			[]grappolo.Option{grappolo.Workers(1), grappolo.Coloring(grappolo.Distance1), grappolo.ColoringCutoff(1), grappolo.Balance(grappolo.BalanceAuto)},
 			withBal(colored1, core.BalanceAuto)},
-		"color-vertex-d2-w1": {
-			[]grappolo.Option{grappolo.Workers(1), grappolo.Coloring(grappolo.Distance2), grappolo.ColoringCutoff(1), grappolo.Balance(grappolo.BalanceVertices)},
-			withBal(d2, core.BalanceVertices)},
-		"color-jp-w1": {
-			[]grappolo.Option{grappolo.Workers(1), grappolo.Coloring(grappolo.JonesPlassmann), grappolo.ColoringCutoff(1)},
-			jp},
+		"color-vertex-w1": {
+			[]grappolo.Option{grappolo.Workers(1), grappolo.Coloring(grappolo.Distance1), grappolo.ColoringCutoff(1), grappolo.Balance(grappolo.BalanceVertices)},
+			withBal(colored1, core.BalanceVertices)},
 	}
 }
 
@@ -178,14 +168,15 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 		"negative-maxiter":      {grappolo.MaxIterations(-1)},
 		"negative-maxphases":    {grappolo.MaxPhases(-3)},
 		"unknown-coloring-kind": {grappolo.Coloring(grappolo.ColoringKind(99))},
-		"unknown-balance-mode":  {grappolo.Balance(grappolo.BalanceMode(99))},
-		"zero-auto-threshold":   {grappolo.AutoBalanceThreshold(0)},
-		"nil-option":            {nil},
+		// Kinds 2 and 3 named two retired colorings: a caller built against
+		// them gets an error, not a different coloring.
+		"retired-coloring-kind-2": {grappolo.Coloring(grappolo.ColoringKind(2))},
+		"retired-coloring-kind-3": {grappolo.Coloring(grappolo.ColoringKind(3))},
+		"unknown-balance-mode":    {grappolo.Balance(grappolo.BalanceMode(99))},
+		"nil-option":              {nil},
 		// Options that only act with coloring enabled must not no-op.
 		"balance-without-coloring": {grappolo.Balance(grappolo.BalanceArcs)},
 		"cutoff-without-coloring":  {grappolo.ColoringCutoff(64)},
-		"autothreshold-without-auto": {grappolo.Coloring(grappolo.Distance1),
-			grappolo.Balance(grappolo.BalanceArcs), grappolo.AutoBalanceThreshold(0.4)},
 	}
 	for name, opts := range cases {
 		if _, err := grappolo.New(opts...); err == nil {

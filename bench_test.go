@@ -262,30 +262,9 @@ func BenchmarkSec7_RelatedWorkPLM(b *testing.B) {
 
 // --- Ablation benches for the design choices the paper calls out ---
 
-// BenchmarkAblation_SerialVsParallelRenumber isolates the community
-// renumbering step of the rebuild: the paper implements it serially and
-// names the prefix-sum parallelization as future work.
-func BenchmarkAblation_SerialVsParallelRenumber(b *testing.B) {
-	g := generate.MustGenerate(generate.LiveJournal, benchScale(), 0, 0)
-	for _, mode := range []string{"parallel", "serial"} {
-		b.Run(mode, func(b *testing.B) {
-			o := core.BaselineVFColor(runtime.GOMAXPROCS(0))
-			o.ColoringVertexCutoff = 512
-			o.SerialRenumber = mode == "serial"
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := core.Run(g, o)
-				if res.NumCommunities == 0 {
-					b.Fatal("no communities")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_BalancedColoring measures the balanced-coloring fix the
+// BenchmarkAblation_ColorBalance measures the balanced-coloring fix the
 // paper proposes for skewed color-set sizes (uk-2002 discussion, §6.2).
-func BenchmarkAblation_BalancedColoring(b *testing.B) {
+func BenchmarkAblation_ColorBalance(b *testing.B) {
 	g := generate.MustGenerate(generate.UK2002, benchScale(), 0, 0)
 	for _, mode := range []string{"plain", "balanced"} {
 		b.Run(mode, func(b *testing.B) {

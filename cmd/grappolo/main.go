@@ -154,8 +154,12 @@ func run(args []string) error {
 			return err
 		}
 		if *objective == "cpm" {
-			// CPM is incompatible with VF (Lemma 3 is a modularity result);
-			// rebuild the preset without the VF preprocessing options.
+			// CPM is incompatible with VF (Lemma 3 is a modularity result).
+			// vfcolor falls back to coloring alone; vf without VF would be
+			// the baseline under another name.
+			if *variant == "vf" {
+				return fmt.Errorf("-variant vf needs vertex following, which -objective cpm does not allow (Lemma 3 is a modularity result); use -variant baseline")
+			}
 			opts = []grappolo.Option{grappolo.Workers(*workers)}
 			if *variant == "vfcolor" {
 				opts = append(opts, grappolo.Coloring(grappolo.Distance1))

@@ -98,18 +98,19 @@ func TestRunWritesMembership(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
-		{},                                                // no input
-		{"-file", "a", "-input", "b"},                     // both sources
-		{"-file", "/nonexistent/path.txt"},                // missing file
-		{"-input", "bogus"},                               // unknown input
-		{"-input", "rgg", "-scale", "galaxy"},             // bad scale
-		{"-input", "rgg", "-variant", "nope"},             // bad variant
-		{"-input", "rgg", "-out", "/dev/null/x"},          // unwritable out
-		{"-input", "rgg", "-threshold", "NaN"},            // non-finite threshold, parallel
-		{"-input", "rgg", "-serial", "-threshold", "NaN"}, // non-finite threshold, serial
-		{"-input", "rgg", "-threshold", "-1"},             // negative threshold, parallel
-		{"-input", "rgg", "-serial", "-threshold", "-1"},  // negative threshold, serial
-		{"-input", "rgg", "-color-cutoff", "-5"},          // negative coloring cutoff
+		{},                                                       // no input
+		{"-file", "a", "-input", "b"},                            // both sources
+		{"-file", "/nonexistent/path.txt"},                       // missing file
+		{"-input", "bogus"},                                      // unknown input
+		{"-input", "rgg", "-scale", "galaxy"},                    // bad scale
+		{"-input", "rgg", "-variant", "nope"},                    // bad variant
+		{"-input", "rgg", "-out", "/dev/null/x"},                 // unwritable out
+		{"-input", "rgg", "-threshold", "NaN"},                   // non-finite threshold, parallel
+		{"-input", "rgg", "-serial", "-threshold", "NaN"},        // non-finite threshold, serial
+		{"-input", "rgg", "-threshold", "-1"},                    // negative threshold, parallel
+		{"-input", "rgg", "-serial", "-threshold", "-1"},         // negative threshold, serial
+		{"-input", "rgg", "-color-cutoff", "-5"},                 // negative coloring cutoff
+		{"-input", "rgg", "-objective", "cpm", "-variant", "vf"}, // VF under CPM
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

@@ -25,9 +25,10 @@
 //
 // New validates the whole configuration up front: invalid values and
 // invalid combinations (negative worker counts, CPM without a gamma, CPM
-// with vertex following, Async with coloring, the deprecated rebalancing
-// switch combined with the current one) are errors, never silent
-// corrections. No options at all is the paper's baseline.
+// with vertex following, Async with coloring) are errors, never silent
+// corrections. No options at all is the paper's baseline. The README's
+// option ledger gives each option's paper section, what runs it and the
+// test that fails without it.
 //
 // # Lifecycle: New → Detect → Pool
 //
@@ -415,16 +416,15 @@
 // so one arc-heavy straggler set cannot serialize a sweep that looks
 // balanced by vertex count — and auto mode (BalanceAuto, -balance auto)
 // measures the base coloring's ArcRSD each phase and applies the arc repair
-// only when it exceeds Options.AutoBalanceArcRSD. When a phase's sets were
+// only when it exceeds core.BalanceAutoArcRSD (0.5), the one constant that
+// harness.ColorSkew's "auto" column reads too. When a phase's sets were
 // arc-rebalanced the colored sweep consumes them directly: the per-set arc
 // prefix sums and binary-search chunking are skipped because the sets are
-// even by construction. The rebalancer honors the base coloring's distance
-// (a distance-2 coloring is repaired against distance-2 neighborhoods),
-// never increases the color count, is deterministic for any worker count,
-// and its per-round load RSD is non-increasing. coloring.Stats and
-// core.PhaseStats report both the vertex-count and arc-count RSDs
-// (harness.ColorSkew / benchtables -colorskew tabulate them, along with the
-// mode auto would pick).
+// even by construction. The rebalancer never increases the color count, is
+// deterministic for any worker count, and its per-round load RSD is
+// non-increasing. coloring.Stats and core.PhaseStats report both the
+// vertex-count and arc-count RSDs (harness.ColorSkew / benchtables
+// -colorskew tabulate them, along with the mode auto would pick).
 //
 // # Static analysis
 //

@@ -80,7 +80,10 @@ func FuzzGraphBuilder(f *testing.F) {
 // combination must either be rejected with a validation error (never a
 // panic, never silent coercion into a run) or produce a valid partition on
 // a fixed exercising graph. The raw float lanes feed gamma/threshold inputs
-// with negatives, zeros, NaN and infinities.
+// with negatives, zeros, NaN and infinities. Coloring kinds 2 and 3 (two
+// retired colorings) and 99 must be rejected. Flag bits 6 and 13 selected
+// two retired options; they stay unassigned, so the committed corpus
+// selects the same other options.
 func FuzzDetectOptions(f *testing.F) {
 	f.Add(uint16(0), int8(2), 1.0, 0.01, uint8(0))
 	f.Add(uint16(0xffff), int8(1), 0.5, 1e-6, uint8(255))
@@ -88,6 +91,7 @@ func FuzzDetectOptions(f *testing.F) {
 	f.Add(uint16(1<<6|1<<7), int8(-1), math.Inf(1), 0.0, uint8(64))
 	f.Fuzz(func(t *testing.T, flags uint16, workersRaw int8, gamma, threshold float64, knobs uint8) {
 		var opts []grappolo.Option
+		badKind := false
 		opts = append(opts, grappolo.Workers(int(workersRaw)))
 		if flags&(1<<0) != 0 {
 			opts = append(opts, grappolo.VertexFollowing())
@@ -97,10 +101,12 @@ func FuzzDetectOptions(f *testing.F) {
 		}
 		if flags&(1<<2) != 0 {
 			kinds := []grappolo.ColoringKind{
-				grappolo.NoColoring, grappolo.Distance1, grappolo.Distance2,
-				grappolo.JonesPlassmann, grappolo.ColoringKind(99),
+				grappolo.NoColoring, grappolo.Distance1, grappolo.ColoringKind(2),
+				grappolo.ColoringKind(3), grappolo.ColoringKind(99),
 			}
-			opts = append(opts, grappolo.Coloring(kinds[int(knobs)%len(kinds)]))
+			k := kinds[int(knobs)%len(kinds)]
+			badKind = k != grappolo.NoColoring && k != grappolo.Distance1
+			opts = append(opts, grappolo.Coloring(k))
 		}
 		if flags&(1<<3) != 0 {
 			opts = append(opts, grappolo.FirstPhaseColoring())
@@ -114,9 +120,6 @@ func FuzzDetectOptions(f *testing.F) {
 				grappolo.BalanceArcs, grappolo.BalanceAuto, grappolo.BalanceMode(42),
 			}
 			opts = append(opts, grappolo.Balance(modes[int(knobs/8)%len(modes)]))
-		}
-		if flags&(1<<6) != 0 {
-			opts = append(opts, grappolo.AutoBalanceThreshold(gamma))
 		}
 		if flags&(1<<7) != 0 {
 			opts = append(opts, grappolo.Thresholds(threshold, threshold/2))
@@ -136,9 +139,6 @@ func FuzzDetectOptions(f *testing.F) {
 		if flags&(1<<12) != 0 {
 			opts = append(opts, grappolo.KeepHierarchy())
 		}
-		if flags&(1<<13) != 0 {
-			opts = append(opts, grappolo.SerialRenumber())
-		}
 		if flags&(1<<14) != 0 {
 			opts = append(opts, grappolo.NoMinLabel())
 		}
@@ -146,6 +146,9 @@ func FuzzDetectOptions(f *testing.F) {
 			opts = append(opts, grappolo.Async())
 		}
 		det, err := grappolo.New(opts...)
+		if badKind && err == nil {
+			t.Fatal("New accepted an unknown ColoringKind")
+		}
 		if err != nil {
 			return // rejected combination: the acceptable failure mode
 		}

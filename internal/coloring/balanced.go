@@ -30,11 +30,6 @@ type RebalanceOptions struct {
 	Workers int
 	// By selects the balanced load metric (default BalanceByVertices).
 	By BalanceBy
-	// Distance2 makes every move respect a distance-2 invariant: a vertex
-	// only takes a color absent from its entire distance-<=2 neighborhood.
-	// Required when rebalancing a ParallelDistance2 base coloring — checking
-	// distance-1 neighbors alone would silently break the invariant.
-	Distance2 bool
 	// MaxRounds caps the speculative rounds (<= 0: 32). The repair converges
 	// when a round commits no move, typically long before the cap.
 	MaxRounds int
@@ -47,7 +42,7 @@ type RebalanceOptions struct {
 
 // Balanced rebalances an existing distance-1 coloring so that color-set
 // vertex counts are as even as possible while remaining a valid coloring.
-// It is shorthand for Rebalance with BalanceByVertices at distance 1.
+// It is shorthand for Rebalance with BalanceByVertices.
 func Balanced(g *graph.Graph, base *Coloring, p int) *Coloring {
 	return Rebalance(g, base, RebalanceOptions{Workers: p})
 }
@@ -58,12 +53,12 @@ func Balanced(g *graph.Graph, base *Coloring, p int) *Coloring {
 // assignment:
 //
 //  1. speculate: every vertex of an over-loaded color (load > ceil(total/k))
-//     proposes a color absent from its (distance-1 or -2) neighborhood whose
-//     load would stay strictly below its own set's. Neighborhood colors are
-//     marked in a flat generation-stamped array; the improving colors form a
-//     prefix of the ascending-load order, scanned from an id-derived offset
-//     so one round's proposals cover every improving color instead of
-//     funneling into the single least-loaded one;
+//     proposes a color absent from its neighborhood whose load would stay
+//     strictly below its own set's. Neighborhood colors are marked in a flat
+//     generation-stamped array; the improving colors form a prefix of the
+//     ascending-load order, scanned from an id-derived offset so one round's
+//     proposals cover every improving color instead of funneling into the
+//     single least-loaded one;
 //  2. resolve: of two neighboring vertices proposing the same color, the
 //     lower id wins and the higher id drops its proposal;
 //  3. commit: surviving proposals are applied in vertex order against live
@@ -134,8 +129,7 @@ func Rebalance(g *graph.Graph, base *Coloring, o RebalanceOptions) *Coloring {
 	ctx := &s.rbc
 	*ctx = rebalCtx{g: g, colors: colors, proposed: proposed, dropped: dropped,
 		order: order, loads: loads, offsets: offsets, markers: markers,
-		target: target, k: k, byArcs: o.By == BalanceByArcs,
-		distance2: o.Distance2}
+		target: target, k: k, byArcs: o.By == BalanceByArcs}
 	for round := 0; round < maxRounds; round++ {
 		for c := range order {
 			order[c] = int32(c)
@@ -148,9 +142,9 @@ func Rebalance(g *graph.Graph, base *Coloring, o RebalanceOptions) *Coloring {
 		// must not serialize the sweep.
 		par.ForChunkPrefixCtx(ctx, offsets, o.Workers, proposePhase)
 
-		// Phase 2: conflict resolution. Two conflicting vertices (adjacent,
-		// or within distance 2 in Distance2 mode) proposing the same color
-		// would break validity if both committed; the lower id wins.
+		// Phase 2: conflict resolution. Two adjacent vertices proposing the
+		// same color would break validity if both committed; the lower id
+		// wins.
 		par.ForChunkPrefixCtx(ctx, offsets, o.Workers, resolvePhase)
 
 		// Phase 3: serial commit in vertex order against live loads. Cheap
@@ -185,19 +179,18 @@ func Rebalance(g *graph.Graph, base *Coloring, o RebalanceOptions) *Coloring {
 // capturing closures and large by-value contexts are avoided on the
 // pooled-engine path).
 type rebalCtx struct {
-	g         *graph.Graph
-	colors    []int32
-	proposed  []int32
-	dropped   []bool
-	order     []int32
-	loads     []int64
-	offsets   []int64
-	markers   []*par.Marker
-	hist      [][]int64
-	target    int64
-	k         int
-	byArcs    bool
-	distance2 bool
+	g        *graph.Graph
+	colors   []int32
+	proposed []int32
+	dropped  []bool
+	order    []int32
+	loads    []int64
+	offsets  []int64
+	markers  []*par.Marker
+	hist     [][]int64
+	target   int64
+	k        int
+	byArcs   bool
 }
 
 func (c *rebalCtx) weight(v int) int64 {
@@ -230,14 +223,6 @@ func proposePhase(c *rebalCtx, w, lo, hi int) {
 				continue
 			}
 			mk.Set(c.colors[j])
-			if c.distance2 {
-				nbr2, _ := c.g.Neighbors(int(j))
-				for _, u := range nbr2 {
-					if int(u) != v {
-						mk.Set(c.colors[u])
-					}
-				}
-			}
 		}
 		// Improving targets form a prefix of the ascending-load order: every
 		// cc with loads[cc]+wv < loads[cv] (cv itself can never qualify).
@@ -278,20 +263,10 @@ func resolvePhase(c *rebalCtx, _, lo, hi int) {
 		}
 		conflict := false
 		nbr, _ := c.g.Neighbors(v)
-	scan:
 		for _, j := range nbr {
 			if int(j) != v && c.proposed[j] == pv && int(j) < v {
 				conflict = true
 				break
-			}
-			if c.distance2 {
-				nbr2, _ := c.g.Neighbors(int(j))
-				for _, u := range nbr2 {
-					if int(u) != v && c.proposed[u] == pv && int(u) < v {
-						conflict = true
-						break scan
-					}
-				}
 			}
 		}
 		c.dropped[v] = conflict

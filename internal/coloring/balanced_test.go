@@ -45,25 +45,6 @@ func TestRebalanceArcModeBeatsVertexModeOnArcRSD(t *testing.T) {
 	t.Logf("arc %s", sa)
 }
 
-func TestRebalanceDistance2PreservesInvariant(t *testing.T) {
-	// Regression for the run.go Distance2Coloring + rebalancing combo:
-	// the rebalancer must check distance-2 neighborhoods when the base
-	// coloring is distance-2, or moves silently break the invariant.
-	for _, seed := range []uint64{1, 7} {
-		g := skewedHub(seed)
-		base := ParallelDistance2(g, 4)
-		for _, by := range []BalanceBy{BalanceByVertices, BalanceByArcs} {
-			bal := Rebalance(g, base, RebalanceOptions{Workers: 4, By: by, Distance2: true})
-			if err := VerifyDistance2(g, bal.Colors); err != nil {
-				t.Fatalf("seed %d by %d: rebalance broke distance-2: %v", seed, by, err)
-			}
-			if bal.NumColors > base.NumColors {
-				t.Fatalf("seed %d by %d: colors %d -> %d", seed, by, base.NumColors, bal.NumColors)
-			}
-		}
-	}
-}
-
 func TestRebalanceDeterministicAcrossWorkers(t *testing.T) {
 	// Proposals read only round-start state, resolution is a fixed rule, and
 	// commits are serial in vertex order, so the repaired coloring is a pure
@@ -81,53 +62,40 @@ func TestRebalanceDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRebalanceProperty drives the rebalancer across seeds, modes and
-// distances on skewed hub graphs and asserts the three contract properties:
-// the coloring stays valid (at its distance), the color count never
-// increases, and the balanced load's RSD is non-increasing round over round
-// (checked via MaxRounds prefixes: the repair is deterministic, so a run
-// capped at r rounds equals the first r rounds of a longer run).
+// TestRebalanceProperty drives the rebalancer across seeds and modes on
+// skewed hub graphs and asserts the three contract properties: the coloring
+// stays valid, the color count never increases, and the balanced load's RSD
+// is non-increasing round over round (checked via MaxRounds prefixes: the
+// repair is deterministic, so a run capped at r rounds equals the first r
+// rounds of a longer run).
 func TestRebalanceProperty(t *testing.T) {
 	for _, seed := range []uint64{2, 11, 23} {
 		g := skewedHub(seed)
-		for _, d2 := range []bool{false, true} {
-			var base *Coloring
-			if d2 {
-				base = ParallelDistance2(g, 4)
-			} else {
-				base = Parallel(g, 4)
+		base := Parallel(g, 4)
+		for _, by := range []BalanceBy{BalanceByVertices, BalanceByArcs} {
+			rsdOf := func(c *Coloring) float64 {
+				st := c.ComputeStatsOn(g)
+				if by == BalanceByArcs {
+					return st.ArcRSD
+				}
+				return st.RSD
 			}
-			for _, by := range []BalanceBy{BalanceByVertices, BalanceByArcs} {
-				rsdOf := func(c *Coloring) float64 {
-					st := c.ComputeStatsOn(g)
-					if by == BalanceByArcs {
-						return st.ArcRSD
-					}
-					return st.RSD
+			prev := rsdOf(base)
+			for rounds := 1; rounds <= 6; rounds++ {
+				bal := Rebalance(g, base, RebalanceOptions{Workers: 4, By: by, MaxRounds: rounds})
+				if err := Verify(g, bal.Colors); err != nil {
+					t.Fatalf("seed %d by %d rounds %d: %v", seed, by, rounds, err)
 				}
-				prev := rsdOf(base)
-				for rounds := 1; rounds <= 6; rounds++ {
-					bal := Rebalance(g, base, RebalanceOptions{
-						Workers: 4, By: by, Distance2: d2, MaxRounds: rounds,
-					})
-					if d2 {
-						if err := VerifyDistance2(g, bal.Colors); err != nil {
-							t.Fatalf("seed %d by %d rounds %d: %v", seed, by, rounds, err)
-						}
-					} else if err := Verify(g, bal.Colors); err != nil {
-						t.Fatalf("seed %d by %d rounds %d: %v", seed, by, rounds, err)
-					}
-					if bal.NumColors > base.NumColors {
-						t.Fatalf("seed %d by %d rounds %d: colors %d -> %d",
-							seed, by, rounds, base.NumColors, bal.NumColors)
-					}
-					rsd := rsdOf(bal)
-					if rsd > prev+1e-9 {
-						t.Fatalf("seed %d by %d: RSD rose %.6f -> %.6f at round %d",
-							seed, by, prev, rsd, rounds)
-					}
-					prev = rsd
+				if bal.NumColors > base.NumColors {
+					t.Fatalf("seed %d by %d rounds %d: colors %d -> %d",
+						seed, by, rounds, base.NumColors, bal.NumColors)
 				}
+				rsd := rsdOf(bal)
+				if rsd > prev+1e-9 {
+					t.Fatalf("seed %d by %d: RSD rose %.6f -> %.6f at round %d",
+						seed, by, prev, rsd, rounds)
+				}
+				prev = rsd
 			}
 		}
 	}

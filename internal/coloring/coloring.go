@@ -12,8 +12,7 @@
 // cannot change under it, so for a given worker count the coloring is the
 // same on every run (see ParallelWith). The package also provides the
 // balanced variant the paper proposes as future work for skewed color-set
-// sizes (§6.2, uk-2002 discussion) and a distance-2 option (§5.2 mentions
-// distance-k coloring).
+// sizes (§6.2, uk-2002 discussion).
 package coloring
 
 import (
@@ -188,12 +187,6 @@ func Parallel(g *graph.Graph, p int) *Coloring {
 // the higher id loses. Which worker runs which chunk, and when, changes
 // nothing, so the coloring repeats exactly.
 func ParallelWith(g *graph.Graph, p int, s *Scratch) *Coloring {
-	return speculate(g, p, s, speculatePhase, conflictPhase)
-}
-
-// speculate runs the speculate-and-resolve rounds with the given distance's
-// two loop bodies (see ParallelWith) and assembles the result in s.
-func speculate(g *graph.Graph, p int, s *Scratch, spec func(*specCtx, int, int, int), resolve func(*specCtx, int, int)) *Coloring {
 	if s == nil {
 		s = NewScratch()
 	}
@@ -226,10 +219,10 @@ func speculate(g *graph.Graph, p int, s *Scratch, spec func(*specCtx, int, int, 
 		// Phase 1: tentative colors. Each worker marks the colors its vertex
 		// can see in its flat generation-stamped marker and takes the
 		// smallest unmarked one.
-		par.ForChunkWorkerCtx(ctx, len(worklist), p, 0, spec)
+		par.ForChunkWorkerCtx(ctx, len(worklist), p, 0, speculatePhase)
 		// Phase 2: conflict detection over the now stable tentative colors;
 		// of two conflicting vertices the higher id loses.
-		par.ForChunkCtx(ctx, len(worklist), p, 0, resolve)
+		par.ForChunkCtx(ctx, len(worklist), p, 0, conflictPhase)
 		// Commit the winners; the losers stay uncolored and form the next
 		// worklist, still in ascending order.
 		next := worklist[:0]
@@ -343,65 +336,6 @@ func conflictPhase(c *specCtx, lo, hi int) {
 	}
 }
 
-// ParallelDistance2 computes a distance-2 coloring (no vertex shares a color
-// with any vertex at distance <= 2) with the same speculative scheme. The
-// paper (§5.2) discusses distance-k coloring as a stricter variant; it is
-// exposed for ablation studies.
-func ParallelDistance2(g *graph.Graph, p int) *Coloring {
-	return ParallelDistance2With(g, p, nil)
-}
-
-// ParallelDistance2With is ParallelDistance2 drawing every working buffer
-// from s (see Scratch for ownership rules); nil s allocates a private one.
-// Tentative colors follow ParallelWith's rule over the two-hop
-// neighborhood, so the coloring repeats exactly for a given p.
-func ParallelDistance2With(g *graph.Graph, p int, s *Scratch) *Coloring {
-	return speculate(g, p, s, speculatePhase2, conflictPhase2)
-}
-
-// speculatePhase2 and conflictPhase2 are the distance-2 analogs of
-// speculatePhase/conflictPhase: they extend marking and conflict checks to
-// the two-hop neighborhood.
-func speculatePhase2(c *specCtx, w, lo, hi int) {
-	used := c.markers[w]
-	first := c.worklist[lo]
-	for t := lo; t < hi; t++ {
-		i := c.worklist[t]
-		used.Reset()
-		nbr, _ := c.g.Neighbors(int(i))
-		for _, j := range nbr {
-			mark(used, c.seen(j, first, i))
-			nbr2, _ := c.g.Neighbors(int(j))
-			for _, k := range nbr2 {
-				mark(used, c.seen(k, first, i))
-			}
-		}
-		c.tent[i] = smallestFree(used)
-	}
-}
-
-func conflictPhase2(c *specCtx, lo, hi int) {
-	for t := lo; t < hi; t++ {
-		i := c.worklist[t]
-		conflict := false
-		nbr, _ := c.g.Neighbors(int(i))
-		for _, j := range nbr {
-			if conflict {
-				break
-			}
-			conflict = c.clashes(j, i)
-			nbr2, _ := c.g.Neighbors(int(j))
-			for _, k := range nbr2 {
-				if conflict {
-					break
-				}
-				conflict = c.clashes(k, i)
-			}
-		}
-		c.flags[t] = conflict
-	}
-}
-
 // Verify checks that colors form a valid distance-1 coloring of g.
 func Verify(g *graph.Graph, colors []int32) error {
 	if len(colors) != g.N() {
@@ -415,26 +349,6 @@ func Verify(g *graph.Graph, colors []int32) error {
 		for _, j := range nbr {
 			if int(j) != i && colors[j] == colors[i] {
 				return fmt.Errorf("coloring: conflict on edge {%d,%d} color %d", i, j, colors[i])
-			}
-		}
-	}
-	return nil
-}
-
-// VerifyDistance2 checks that no two distinct vertices at distance <= 2
-// share a color.
-func VerifyDistance2(g *graph.Graph, colors []int32) error {
-	if err := Verify(g, colors); err != nil {
-		return err
-	}
-	for i := 0; i < g.N(); i++ {
-		nbr, _ := g.Neighbors(i)
-		for _, j := range nbr {
-			nbr2, _ := g.Neighbors(int(j))
-			for _, k := range nbr2 {
-				if int(k) != i && colors[k] == colors[i] {
-					return fmt.Errorf("coloring: distance-2 conflict %d..%d via %d", i, k, j)
-				}
 			}
 		}
 	}

@@ -111,20 +111,11 @@ func TestParallelRepeatsForWorkerCount(t *testing.T) {
 	if !slices.Equal(Parallel(g, 1).Colors, Greedy(g).Colors) {
 		t.Fatal("one worker must give Greedy's coloring")
 	}
-	kernels := []struct {
-		name  string
-		color func(p int) *Coloring
-	}{
-		{"distance-1", func(p int) *Coloring { return Parallel(g, p) }},
-		{"distance-2", func(p int) *Coloring { return ParallelDistance2(g, p) }},
-	}
-	for _, k := range kernels {
-		for _, p := range []int{2, 3, 4, 8} {
-			ref := k.color(p)
-			for rep := 0; rep < 5; rep++ {
-				if got := k.color(p); !slices.Equal(got.Colors, ref.Colors) {
-					t.Fatalf("%s p=%d: run %d colors differ from the first run's", k.name, p, rep+2)
-				}
+	for _, p := range []int{2, 3, 4, 8} {
+		ref := Parallel(g, p)
+		for rep := 0; rep < 5; rep++ {
+			if got := Parallel(g, p); !slices.Equal(got.Colors, ref.Colors) {
+				t.Fatalf("p=%d: run %d colors differ from the first run's", p, rep+2)
 			}
 		}
 	}
@@ -165,36 +156,6 @@ func TestVerifyCatchesConflicts(t *testing.T) {
 	}
 	if err := Verify(g, []int32{0, 1, 0}); err != nil {
 		t.Fatalf("valid coloring rejected: %v", err)
-	}
-}
-
-func TestDistance2Coloring(t *testing.T) {
-	g := path(20)
-	c := ParallelDistance2(g, 4)
-	if err := VerifyDistance2(g, c.Colors); err != nil {
-		t.Fatal(err)
-	}
-	// A path's square needs 3 colors.
-	if c.NumColors < 3 {
-		t.Fatalf("distance-2 path coloring used %d colors, want >= 3", c.NumColors)
-	}
-	// Distance-1 verify alone must also pass, and a plain distance-1
-	// coloring of a path must fail the distance-2 check.
-	d1 := Greedy(g)
-	if err := VerifyDistance2(g, d1.Colors); err == nil {
-		t.Fatal("distance-1 coloring of a path should violate distance-2")
-	}
-}
-
-func TestDistance2OnSkewedGraph(t *testing.T) {
-	g := generate.MustGenerate(generate.CNR, generate.Small, 1, 4)
-	c := ParallelDistance2(g, 4)
-	if err := VerifyDistance2(g, c.Colors); err != nil {
-		t.Fatal(err)
-	}
-	d1 := Parallel(g, 4)
-	if c.NumColors < d1.NumColors {
-		t.Fatalf("distance-2 used fewer colors (%d) than distance-1 (%d)", c.NumColors, d1.NumColors)
 	}
 }
 

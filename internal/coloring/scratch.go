@@ -4,11 +4,10 @@ import "grappolo/internal/par"
 
 // Scratch owns the reusable working state of the coloring kernels: the
 // color, tentative-color and worklist arrays, the per-worker flat
-// neighbor-color markers, the conflict flags, the Jones–Plassmann
-// priority/active arrays, the rebalance proposal state, and the backing
-// storage of the assembled Coloring (Colors, Sets and the Coloring header
-// itself). Buffers are sized by high-water mark, so a Scratch reused across
-// calls of the same shape allocates nothing.
+// neighbor-color markers, the conflict flags, the rebalance proposal state,
+// and the backing storage of the assembled Coloring (Colors, Sets and the
+// Coloring header itself). Buffers are sized by high-water mark, so a
+// Scratch reused across calls of the same shape allocates nothing.
 //
 // Ownership rules:
 //
@@ -27,10 +26,6 @@ type Scratch struct {
 	worklist  []int32
 	conflicts []bool
 	markers   []*par.Marker
-	// Jones–Plassmann
-	prio         []uint64
-	active       []bool
-	coloredCount int64 // per-round colored counter (addressable, not a local)
 	// rebalance
 	rbColors []int32
 	proposed []int32
@@ -44,7 +39,6 @@ type Scratch struct {
 	// reference, which would heap-move a by-value context at every par.*Ctx
 	// call (the goroutine path captures the parameter).
 	spc specCtx
-	jpc jpCtx
 	rbc rebalCtx
 	// assembled result (aliased by the returned *Coloring)
 	colors    []int32

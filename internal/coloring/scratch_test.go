@@ -28,12 +28,6 @@ func TestScratchKernelsMatchFresh(t *testing.T) {
 		{"parallel",
 			func(g *graph.Graph) *Coloring { return Parallel(g, 1) },
 			func(g *graph.Graph, s *Scratch) *Coloring { return ParallelWith(g, 1, s) }},
-		{"jonesplassmann",
-			func(g *graph.Graph) *Coloring { return JonesPlassmann(g, 3, 7) },
-			func(g *graph.Graph, s *Scratch) *Coloring { return JonesPlassmannWith(g, 3, 7, s) }},
-		{"distance2",
-			func(g *graph.Graph) *Coloring { return ParallelDistance2(g, 1) },
-			func(g *graph.Graph, s *Scratch) *Coloring { return ParallelDistance2With(g, 1, s) }},
 		{"rebalance-arc",
 			func(g *graph.Graph) *Coloring {
 				base := Parallel(g, 1)

@@ -123,7 +123,7 @@ func TestColoredRunsRepeatForWorkerCount(t *testing.T) {
 		opts func(p int) Options
 	}{
 		{"vfcolor", func(p int) Options { return withColor(withVF(smallOpts(p))) }},
-		{"distance2", func(p int) Options { return withD2(withColor(smallOpts(p))) }},
+		{"balanced-vertex", func(p int) Options { return withBalanced(withColor(smallOpts(p))) }},
 		{"balanced-arc", func(p int) Options { return withArcBalance(withColor(smallOpts(p))) }},
 		{"cpm-color", func(p int) Options { return cpm(withColor(smallOpts(p))) }},
 	}
@@ -153,10 +153,6 @@ func TestAllVariantsProduceValidPartitions(t *testing.T) {
 			"color":        withColor(smallOpts(4)),
 			"balanced":     withBalanced(withColor(smallOpts(4))),
 			"balanced-arc": withArcBalance(withColor(smallOpts(4))),
-			"balanced-d2":  withBalanced(withD2(withColor(smallOpts(4)))),
-			"arc-d2":       withArcBalance(withD2(withColor(smallOpts(4)))),
-			"distance2":    withD2(withColor(smallOpts(4))),
-			"jp":           withJP(withColor(smallOpts(4))),
 			"chain":        withChain(withVF(smallOpts(4))),
 		}
 		for name, o := range variants {
@@ -171,8 +167,6 @@ func withChain(o Options) Options      { o.VFChainCompression = true; return o }
 func withColor(o Options) Options      { o.Coloring = ColorMultiPhase; return o }
 func withBalanced(o Options) Options   { o.ColorBalance = BalanceVertices; return o }
 func withArcBalance(o Options) Options { o.ColorBalance = BalanceArcs; return o }
-func withD2(o Options) Options         { o.Distance2Coloring = true; return o }
-func withJP(o Options) Options         { o.JonesPlassmann = true; return o }
 
 func validatePartition(t *testing.T, g *graph.Graph, res *Result, in generate.Input, name string) {
 	t.Helper()
@@ -360,11 +354,40 @@ func TestRebuildMatchesSerialCoarsen(t *testing.T) {
 	}
 }
 
+// renumberSerial is the paper's serial renumbering (§5.5), the oracle for
+// renumberParallelInto.
+func renumberSerial(comm []int32) []int32 {
+	n := len(comm)
+	dense := make([]int32, n+1)
+	for i := range dense {
+		dense[i] = -1
+	}
+	next := int32(0)
+	out := make([]int32, n)
+	// Ascending-id order to match the parallel version bit for bit.
+	for i := 0; i < n; i++ {
+		if dense[comm[i]] < 0 {
+			dense[comm[i]] = 0 // mark
+		}
+	}
+	for c := 0; c <= n; c++ {
+		if c < len(dense) && dense[c] == 0 {
+			dense[c] = next
+			next++
+		}
+	}
+	for i := 0; i < n; i++ {
+		out[i] = dense[comm[i]]
+	}
+	return out
+}
+
 func TestRenumberParallelMatchesSerial(t *testing.T) {
 	// Community ids are always vertex ids of the phase graph, so they are
 	// < len(comm) by construction.
 	comm := []int32{5, 5, 2, 3, 2, 0}
-	a := renumberParallel(comm, 4)
+	a := make([]int32, len(comm))
+	renumberParallelInto(a, make([]int64, len(comm)+1), comm, 4)
 	b := renumberSerial(comm)
 	for i := range a {
 		if a[i] != b[i] {
@@ -377,17 +400,6 @@ func TestRenumberParallelMatchesSerial(t *testing.T) {
 		if a[i] != want[i] {
 			t.Fatalf("got %v want %v", a, want)
 		}
-	}
-}
-
-func TestSerialRenumberOptionSameResult(t *testing.T) {
-	g := generate.MustGenerate(generate.CNR, generate.Small, 0, 4)
-	a := Run(g, smallOpts(4))
-	o := smallOpts(4)
-	o.SerialRenumber = true
-	b := Run(g, o)
-	if a.Modularity != b.Modularity || a.NumCommunities != b.NumCommunities {
-		t.Fatal("serial renumber ablation changed the result")
 	}
 }
 

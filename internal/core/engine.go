@@ -299,18 +299,12 @@ func (e *Engine) runPhase(g *graph.Graph, threshold float64, colorSets *coloring
 	if aborted {
 		return nil, stats, q, true
 	}
-	var dense []int32
-	if opts.SerialRenumber {
-		dense = renumberSerial(st.curr)
-	} else {
-		out := par.Resize(e.denseOut, g.N())
-		e.denseOut = out
-		occ := par.Resize(e.occupied, g.N()+1)
-		e.occupied = occ
-		renumberParallelInto(out, occ, st.curr, workers)
-		dense = out
-	}
-	return dense, stats, q, false
+	out := par.Resize(e.denseOut, g.N())
+	e.denseOut = out
+	occ := par.Resize(e.occupied, g.N()+1)
+	e.occupied = occ
+	renumberParallelInto(out, occ, st.curr, workers)
+	return out, stats, q, false
 }
 
 // iterate runs the local-move iterations of one phase (Algorithm 1) from the
@@ -486,14 +480,7 @@ func (e *Engine) runInto(ctx context.Context, g *graph.Graph, res *Result) (*Res
 		arcEven := false
 		if colored {
 			t0 := time.Now()
-			switch {
-			case opts.Distance2Coloring:
-				cs = coloring.ParallelDistance2With(cur, workers, e.colorSc)
-			case opts.JonesPlassmann:
-				cs = coloring.JonesPlassmannWith(cur, workers, uint64(phase)+1, e.colorSc)
-			default:
-				cs = coloring.ParallelWith(cur, workers, e.colorSc)
-			}
+			cs = coloring.ParallelWith(cur, workers, e.colorSc)
 			balance := opts.ColorBalance
 			var cst coloring.Stats
 			statsReady := false
@@ -504,7 +491,7 @@ func (e *Engine) runInto(ctx context.Context, g *graph.Graph, res *Result) (*Res
 				// the colored sweep's straggler time actually follows.
 				cst = cs.ComputeStatsOn(cur)
 				statsReady = true
-				if cst.ArcRSD > opts.AutoBalanceArcRSD {
+				if cst.ArcRSD > BalanceAutoArcRSD {
 					balance = BalanceArcs
 				} else {
 					balance = BalanceOff
@@ -516,14 +503,10 @@ func (e *Engine) runInto(ctx context.Context, g *graph.Graph, res *Result) (*Res
 					by = coloring.BalanceByArcs
 					arcEven = true
 				}
-				// The rebalancer must honor the base coloring's distance:
-				// moving a vertex of a distance-2 coloring while checking
-				// only distance-1 neighbors silently breaks the invariant.
 				cs = coloring.Rebalance(cur, cs, coloring.RebalanceOptions{
-					Workers:   workers,
-					By:        by,
-					Distance2: opts.Distance2Coloring,
-					Scratch:   e.rebalSc,
+					Workers: workers,
+					By:      by,
+					Scratch: e.rebalSc,
 				})
 				statsReady = false
 			}

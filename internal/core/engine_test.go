@@ -19,16 +19,14 @@ func engineConfigs() map[string]Options {
 		return o
 	}
 	return map[string]Options{
-		"baseline-w4":        Baseline(4),
-		"vf-chain-w4":        withChain(withVF(Baseline(4))),
-		"hierarchy-w4":       {Workers: 4, KeepHierarchy: true},
-		"serialrenumber-w2":  {Workers: 2, SerialRenumber: true},
-		"cpm-w4":             {Workers: 4, Objective: ObjCPM, CPMGamma: 0.5},
-		"color-w1":           colored(Baseline(1)),
-		"color-arc-w1":       withArcBalance(colored(Baseline(1))),
-		"color-auto-w1":      colored(Options{Workers: 1, ColorBalance: BalanceAuto}),
-		"color-vertex-d2-w1": withD2(withBalanced(colored(Baseline(1)))),
-		"color-jp-w1":        withJP(colored(Baseline(1))),
+		"baseline-w4":     Baseline(4),
+		"vf-chain-w4":     withChain(withVF(Baseline(4))),
+		"hierarchy-w4":    {Workers: 4, KeepHierarchy: true},
+		"cpm-w4":          {Workers: 4, Objective: ObjCPM, CPMGamma: 0.5},
+		"color-w1":        colored(Baseline(1)),
+		"color-arc-w1":    withArcBalance(colored(Baseline(1))),
+		"color-auto-w1":   colored(Options{Workers: 1, ColorBalance: BalanceAuto}),
+		"color-vertex-w1": withBalanced(colored(Baseline(1))),
 	}
 }
 
@@ -176,27 +174,43 @@ func TestEngineRunAllocatesOnlyResult(t *testing.T) {
 	}
 }
 
-// TestBalanceAutoTracksSkew pins the adaptive mode against its explicit
-// endpoints: with a threshold the skewed base coloring exceeds, auto equals
-// forced arc rebalancing; with an unreachable threshold it equals no
-// rebalancing.
+// TestBalanceAutoTracksSkew pins BalanceAutoArcRSD through its inputs: a
+// first phase whose base coloring's ArcRSD lies above it runs exactly like
+// forced arc rebalancing, one below it exactly like no rebalancing. Each
+// input's side of the constant is checked first, so a changed constant or
+// generator fails here rather than passing vacuously, and where the repair
+// changes the run, the arc and off runs must differ, so the comparison can
+// tell which one auto chose.
 func TestBalanceAutoTracksSkew(t *testing.T) {
-	// UK2002's synthetic analog is exactly the §6.2 skew case.
-	g := generate.MustGenerate(generate.UK2002, generate.Small, 0, 4)
-	base := Options{Workers: 1, Coloring: ColorMultiPhase, ColoringVertexCutoff: 1}
-
-	arc := base
-	arc.ColorBalance = BalanceArcs
-	auto := base
-	auto.ColorBalance = BalanceAuto
-	auto.AutoBalanceArcRSD = 1e-9 // any measurable skew triggers the repair
-	sameResult(t, "auto≡arc", Run(g, auto), Run(g, arc))
-
-	off := base
-	never := base
-	never.ColorBalance = BalanceAuto
-	never.AutoBalanceArcRSD = 1e9
-	sameResult(t, "auto≡off", Run(g, never), Run(g, off))
+	cases := []struct {
+		in    generate.Input
+		above bool // base ArcRSD above BalanceAutoArcRSD
+		split bool // arc rebalancing changes the run
+	}{
+		{generate.RGG, true, true},       // ArcRSD 0.666
+		{generate.Channel, false, false}, // ArcRSD 0.000: the repair moves nothing
+		// ArcRSD 0.434, and arc rebalancing changes its iteration count, so
+		// this row fails if the constant drops below it.
+		{generate.MG1, false, true},
+	}
+	for _, c := range cases {
+		g := generate.MustGenerate(c.in, generate.Small, 0, 4)
+		rsd := coloring.Parallel(g, 1).ComputeStatsOn(g).ArcRSD
+		if rsd > BalanceAutoArcRSD != c.above {
+			t.Fatalf("%s: base ArcRSD %.3f, want above %v: %v", c.in, rsd, BalanceAutoArcRSD, c.above)
+		}
+		run := func(b ColorBalance) *Result {
+			return Run(g, Options{Workers: 1, Coloring: ColorMultiPhase, MaxPhases: 1, ColorBalance: b})
+		}
+		want, other := run(BalanceOff), run(BalanceArcs)
+		if c.above {
+			want, other = other, want
+		}
+		sameResult(t, string(c.in), run(BalanceAuto), want)
+		if c.split && want.TotalIterations == other.TotalIterations && slices.Equal(want.Membership, other.Membership) {
+			t.Fatalf("%s: arc and off runs agree, so auto's choice is not observed", c.in)
+		}
+	}
 }
 
 // TestArcEvenSetsSkipPrefixMatchesChunked pins satellite scheduling: at one

@@ -47,11 +47,17 @@ const (
 	BalanceArcs
 	// BalanceAuto measures the base coloring's arc-load skew each phase and
 	// applies arc rebalancing only when its ArcRSD exceeds
-	// Options.AutoBalanceArcRSD — paying the repair exactly on the inputs
-	// (like uk-2002) whose skew would otherwise serialize the colored
-	// sweeps, and skipping it on already-balanced colorings.
+	// BalanceAutoArcRSD — paying the repair exactly on the inputs (like
+	// uk-2002) whose skew would otherwise serialize the colored sweeps, and
+	// skipping it on already-balanced colorings.
 	BalanceAuto
 )
+
+// BalanceAutoArcRSD is the per-phase ArcRSD above which BalanceAuto applies
+// arc rebalancing. An evenly loaded coloring sits well below 0.5; the skewed
+// colorings the paper blames for uk-2002's poor speedup (§6.2) sit far
+// above it.
+const BalanceAutoArcRSD = 0.5
 
 // Objective selects the quality function being optimized.
 type Objective int
@@ -88,32 +94,9 @@ type Options struct {
 
 	// ColorBalance rebalances color-set loads after coloring (the paper's
 	// proposed fix for the uk-2002 skew, §6.2): off, per-set vertex counts,
-	// or per-set total arc counts. The rebalancer respects the coloring
-	// distance, so it composes with Distance2Coloring.
+	// per-set total arc counts, or arc counts when the base coloring's
+	// ArcRSD exceeds BalanceAutoArcRSD.
 	ColorBalance ColorBalance
-
-	// BalancedColoring is the legacy switch for vertex-count rebalancing.
-	//
-	// Deprecated: set ColorBalance to BalanceVertices instead. When set and
-	// ColorBalance is BalanceOff, Defaults maps it to BalanceVertices.
-	BalancedColoring bool
-
-	// AutoBalanceArcRSD is the per-phase ArcRSD threshold above which
-	// BalanceAuto applies arc rebalancing (<= 0: 0.5). An evenly loaded
-	// coloring sits well below 0.5; the skewed colorings the paper blames
-	// for uk-2002's poor speedup (§6.2) sit far above it.
-	AutoBalanceArcRSD float64
-
-	// Distance2Coloring uses distance-2 instead of distance-1 coloring
-	// (§5.2 discusses distance-k variants). Implies more colors and less
-	// parallelism per set.
-	Distance2Coloring bool
-
-	// JonesPlassmann selects the Jones–Plassmann coloring instead of the
-	// default speculate-and-resolve greedy — the other classic parallel
-	// coloring benchmarked by the paper's reference [12]; exposed for
-	// ablation of the preprocessing choice. Ignored with Distance2Coloring.
-	JonesPlassmann bool
 
 	// ColoredThreshold is the net modularity gain threshold used while
 	// phases are colored: the first colored phase that gains less ends
@@ -146,12 +129,6 @@ type Options struct {
 	// CPMGamma is the CPM resolution parameter (required > 0 when
 	// Objective is ObjCPM; ignored otherwise).
 	CPMGamma float64
-
-	// SerialRenumber forces the community-renumbering step of the rebuild
-	// to run serially, reproducing the paper's implementation (§5.5 notes
-	// the renumbering "is currently implemented in serial"); the default
-	// uses the parallel prefix-sum version the paper lists as future work.
-	SerialRenumber bool
 
 	// KeepHierarchy records the community assignment of the ORIGINAL
 	// vertices at the end of every phase in Result.Levels — the hierarchy
@@ -186,16 +163,6 @@ func (o Options) Defaults() Options {
 	if o.Resolution <= 0 {
 		o.Resolution = 1
 	}
-	if o.BalancedColoring && o.ColorBalance == BalanceOff {
-		// Canonicalize the deprecated switch: map it and clear it, so a
-		// Defaults output always passes Validate (callers commonly pass
-		// pre-defaulted options back into Run/NewEngine).
-		o.ColorBalance = BalanceVertices
-		o.BalancedColoring = false
-	}
-	if o.AutoBalanceArcRSD <= 0 {
-		o.AutoBalanceArcRSD = 0.5
-	}
 	return o
 }
 
@@ -204,9 +171,8 @@ func (o Options) Defaults() Options {
 // error means the caller asked for a combination the pipeline either cannot
 // honor (CPM without a gamma, VF under CPM) or would quietly reinterpret
 // (negative counts clamped to defaults, a field that only acts when a
-// sibling field is also set, both the deprecated and the current rebalancing
-// switch at once). NewEngine panics on these; the public grappolo package
-// surfaces them as errors from grappolo.New.
+// sibling field is also set). NewEngine panics on these; the public
+// grappolo package surfaces them as errors from grappolo.New.
 func (o Options) Validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("core: negative Workers %d (0 selects all CPUs)", o.Workers)
@@ -221,7 +187,6 @@ func (o Options) Validate() error {
 		{"ColoredThreshold", o.ColoredThreshold},
 		{"FinalThreshold", o.FinalThreshold},
 		{"Resolution", o.Resolution},
-		{"AutoBalanceArcRSD", o.AutoBalanceArcRSD},
 		{"CPMGamma", o.CPMGamma},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
@@ -246,9 +211,6 @@ func (o Options) Validate() error {
 	if o.Resolution < 0 {
 		return fmt.Errorf("core: negative Resolution %v", o.Resolution)
 	}
-	if o.AutoBalanceArcRSD < 0 {
-		return fmt.Errorf("core: negative AutoBalanceArcRSD %v", o.AutoBalanceArcRSD)
-	}
 	if o.Coloring < ColorOff || o.Coloring > ColorMultiPhase {
 		return fmt.Errorf("core: unknown ColoringMode %d", o.Coloring)
 	}
@@ -269,9 +231,6 @@ func (o Options) Validate() error {
 	}
 	if o.VFChainCompression && !o.VertexFollowing {
 		return fmt.Errorf("core: VFChainCompression requires VertexFollowing")
-	}
-	if o.BalancedColoring && o.ColorBalance != BalanceOff {
-		return fmt.Errorf("core: deprecated BalancedColoring combined with ColorBalance; set ColorBalance alone (BalancedColoring alone still maps to BalanceVertices)")
 	}
 	if o.Async && o.Coloring != ColorOff {
 		return fmt.Errorf("core: Async (live-state PLM emulation) is incompatible with coloring")

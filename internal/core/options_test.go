@@ -1,9 +1,6 @@
 package core
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestOptionsValidate pins the bugfix satellite: the settings Defaults used
 // to clamp or ignore silently are now reported as errors.
@@ -15,7 +12,6 @@ func TestOptionsValidate(t *testing.T) {
 		BaselineVFColor(8),
 		PLM(2),
 		{Objective: ObjCPM, CPMGamma: 0.5},
-		{BalancedColoring: true}, // deprecated switch alone: canonical path
 		{Coloring: ColorMultiPhase, ColorBalance: BalanceAuto},
 	}
 	for i, o := range valid {
@@ -25,52 +21,27 @@ func TestOptionsValidate(t *testing.T) {
 	}
 
 	invalid := map[string]Options{
-		"negative-workers":       {Workers: -1},
-		"negative-colored-thr":   {ColoredThreshold: -1e-3},
-		"negative-final-thr":     {FinalThreshold: -1e-9},
-		"negative-cutoff":        {ColoringVertexCutoff: -5},
-		"negative-maxiter":       {MaxIterations: -1},
-		"negative-maxphases":     {MaxPhases: -1},
-		"negative-resolution":    {Resolution: -1},
-		"negative-auto-rsd":      {AutoBalanceArcRSD: -0.5},
-		"bad-coloring-mode":      {Coloring: ColoringMode(99)},
-		"bad-balance-mode":       {ColorBalance: ColorBalance(99)},
-		"bad-objective":          {Objective: Objective(99)},
-		"cpm-no-gamma":           {Objective: ObjCPM},
-		"cpm-negative-gamma":     {Objective: ObjCPM, CPMGamma: -1},
-		"cpm-vf":                 {Objective: ObjCPM, CPMGamma: 0.5, VertexFollowing: true},
-		"cpm-vfchain":            {Objective: ObjCPM, CPMGamma: 0.5, VFChainCompression: true},
-		"chain-without-vf":       {VFChainCompression: true},
-		"deprecated-and-current": {BalancedColoring: true, ColorBalance: BalanceArcs},
-		"async-colored":          {Async: true, Coloring: ColorMultiPhase},
+		"negative-workers":     {Workers: -1},
+		"negative-colored-thr": {ColoredThreshold: -1e-3},
+		"negative-final-thr":   {FinalThreshold: -1e-9},
+		"negative-cutoff":      {ColoringVertexCutoff: -5},
+		"negative-maxiter":     {MaxIterations: -1},
+		"negative-maxphases":   {MaxPhases: -1},
+		"negative-resolution":  {Resolution: -1},
+		"bad-coloring-mode":    {Coloring: ColoringMode(99)},
+		"bad-balance-mode":     {ColorBalance: ColorBalance(99)},
+		"bad-objective":        {Objective: Objective(99)},
+		"cpm-no-gamma":         {Objective: ObjCPM},
+		"cpm-negative-gamma":   {Objective: ObjCPM, CPMGamma: -1},
+		"cpm-vf":               {Objective: ObjCPM, CPMGamma: 0.5, VertexFollowing: true},
+		"cpm-vfchain":          {Objective: ObjCPM, CPMGamma: 0.5, VFChainCompression: true},
+		"chain-without-vf":     {VFChainCompression: true},
+		"async-colored":        {Async: true, Coloring: ColorMultiPhase},
 	}
 	for name, o := range invalid {
 		if err := o.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted invalid options", name)
 		}
-	}
-}
-
-// TestDeprecatedBalancedColoringCanonicalPath pins the one remaining legal
-// use of the deprecated switch: set alone, Defaults maps it to
-// BalanceVertices; combined with ColorBalance it is an error (it used to be
-// silently ignored).
-func TestDeprecatedBalancedColoringCanonicalPath(t *testing.T) {
-	o := Options{BalancedColoring: true}.Defaults()
-	if o.ColorBalance != BalanceVertices {
-		t.Fatalf("Defaults mapped BalancedColoring to %d, want BalanceVertices", o.ColorBalance)
-	}
-	if o.BalancedColoring {
-		t.Fatal("Defaults left the deprecated flag set after canonicalizing it")
-	}
-	// A Defaults output must always re-validate: callers pass pre-defaulted
-	// options back into Run/NewEngine.
-	if err := o.Validate(); err != nil {
-		t.Fatalf("Validate(Defaults(deprecated flag)): %v", err)
-	}
-	err := Options{BalancedColoring: true, ColorBalance: BalanceVertices}.Validate()
-	if err == nil || !strings.Contains(err.Error(), "deprecated") {
-		t.Fatalf("combined deprecated+current switches: err=%v, want deprecation error", err)
 	}
 }
 

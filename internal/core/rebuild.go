@@ -55,43 +55,6 @@ func renumberParallelInto(out []int32, occupied []int64, comm []int32, workers i
 	})
 }
 
-// renumberParallel is the allocating convenience form of
-// renumberParallelInto, used by tests and one-shot callers.
-func renumberParallel(comm []int32, workers int) []int32 {
-	out := make([]int32, len(comm))
-	renumberParallelInto(out, make([]int64, len(comm)+1), comm, workers)
-	return out
-}
-
-// renumberSerial is the paper's original serial renumbering, kept as an
-// ablation mode (Options.SerialRenumber) so the Fig. 8/9 rebuild
-// bottleneck can be reproduced.
-func renumberSerial(comm []int32) []int32 {
-	n := len(comm)
-	dense := make([]int32, n+1)
-	for i := range dense {
-		dense[i] = -1
-	}
-	next := int32(0)
-	out := make([]int32, n)
-	// Ascending-id order to match the parallel version bit for bit.
-	for i := 0; i < n; i++ {
-		if dense[comm[i]] < 0 {
-			dense[comm[i]] = 0 // mark
-		}
-	}
-	for c := 0; c <= n; c++ {
-		if c < len(dense) && dense[c] == 0 {
-			dense[c] = next
-			next++
-		}
-	}
-	for i := 0; i < n; i++ {
-		out[i] = dense[comm[i]]
-	}
-	return out
-}
-
 // rowArena is one worker's append-only staging area for aggregated
 // community rows: rows land here in whatever order the worker claims
 // communities, then a prefix sum over row lengths stitches them into the

@@ -228,8 +228,10 @@ func distance1Sets(g *graph.Graph, workers int) (*coloring.Coloring, bool) {
 	return coloring.Parallel(g, workers), false
 }
 
-func distance2Sets(g *graph.Graph, workers int) (*coloring.Coloring, bool) {
-	return coloring.ParallelDistance2(g, workers), false
+func vertexBalancedSets(g *graph.Graph, workers int) (*coloring.Coloring, bool) {
+	cs := coloring.Rebalance(g, coloring.Parallel(g, workers),
+		coloring.RebalanceOptions{Workers: workers, By: coloring.BalanceByVertices})
+	return cs, false
 }
 
 func arcBalancedSets(g *graph.Graph, workers int) (*coloring.Coloring, bool) {
@@ -316,7 +318,7 @@ func checkColoredChain(t *testing.T, name string, g *graph.Graph, opts Options, 
 // and memberships — on the Small suite and down each coarsening chain, at
 // one worker (moves in order) and four (decide, then apply), for both
 // objectives, a non-default resolution, an iteration cap, a fine colored
-// threshold, distance-2 colorings and arc-rebalanced sets.
+// threshold, and vertex- and arc-rebalanced sets.
 func TestColoredSweepMatchesReference(t *testing.T) {
 	configs := []struct {
 		name string
@@ -330,7 +332,7 @@ func TestColoredSweepMatchesReference(t *testing.T) {
 		{"res0.5-w4", Options{Workers: 4, Resolution: 0.5}, distance1Sets},
 		{"maxiter1-w4", Options{Workers: 4, MaxIterations: 1}, distance1Sets},
 		{"threshold1e-6-w4", Options{Workers: 4, ColoredThreshold: 1e-6}, distance1Sets},
-		{"d2-w4", Options{Workers: 4}, distance2Sets},
+		{"vertices-w4", Options{Workers: 4}, vertexBalancedSets},
 		{"arcs-w4", Options{Workers: 4}, arcBalancedSets},
 		{"arcs-w1", Options{Workers: 1}, arcBalancedSets},
 	}

@@ -101,7 +101,9 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 // 1-based neighbor ids, optionally interleaved with weights when fmt
 // includes edge weights (fmt "1" or "11"; vertex weights are skipped). A
 // blank adjacency line is an isolated vertex; blank lines after the n-th
-// are ignored. Edge weights follow ReadEdgeList's rule.
+// are ignored, and a file with fewer than n adjacency lines is an error, so
+// a graph's size is bounded by its line count. Edge weights follow
+// ReadEdgeList's rule.
 func ReadMETIS(r io.Reader, p int) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -181,6 +183,9 @@ func ReadMETIS(r io.Reader, p int) (*Graph, error) {
 	}
 	if !headerRead {
 		return nil, fmt.Errorf("graph: empty METIS input")
+	}
+	if vertex < n {
+		return nil, fmt.Errorf("graph: METIS header names %d vertices but the file has %d adjacency lines", n, vertex)
 	}
 	return finiteTotal(b.Build(p))
 }

@@ -126,6 +126,8 @@ func TestReadMETISErrors(t *testing.T) {
 		"2 1 1\n2 NaN\n1 NaN\n", // non-finite weight
 		"2 1 1\n2 Inf\n1 Inf\n", // non-finite weight
 		"3 2\n2\n\n\n2\n",       // a blank line is a vertex: four lines for n = 3
+		"5 1\n2\n1\n",           // two adjacency lines for n = 5
+		"2147483647 0\n",        // no adjacency lines: would build 2^31 - 1 vertices
 	}
 	for _, in := range cases {
 		if _, err := ReadMETIS(strings.NewReader(in), 1); err == nil {

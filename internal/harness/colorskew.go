@@ -23,9 +23,9 @@ type ColorSkewRow struct {
 	// Base is the unbalanced speculative coloring; Vertex and Arc are the
 	// same coloring after the respective rebalancing mode.
 	Base, Vertex, Arc coloring.Stats
-	// AutoPicked reports what core.BalanceAuto would do on this input at the
-	// default ArcRSD threshold: "arc" when the base skew warrants the
-	// repair, "off" when the coloring is already balanced enough.
+	// AutoPicked reports what core.BalanceAuto would do on this input: "arc"
+	// when the base ArcRSD exceeds core.BalanceAutoArcRSD, "off" when the
+	// coloring is already balanced enough.
 	AutoPicked string
 }
 
@@ -55,9 +55,9 @@ func ColorSkew(o Options, inputs []generate.Input) ([]ColorSkewRow, error) {
 			Vertex: vert.ComputeStatsOn(g),
 			Arc:    arc.ComputeStatsOn(g),
 		}
-		// Mirror core.BalanceAuto's decision at the default threshold.
+		// Mirror core.BalanceAuto's decision.
 		row.AutoPicked = "off"
-		if row.Base.ArcRSD > (core.Options{}).Defaults().AutoBalanceArcRSD {
+		if row.Base.ArcRSD > core.BalanceAutoArcRSD {
 			row.AutoPicked = "arc"
 		}
 		rows = append(rows, row)

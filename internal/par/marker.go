@@ -4,8 +4,8 @@ package par
 // a bounded universe — par.SparseAccum without the values: a generation
 // stamp per key slot, where Reset is O(1) (bump the generation; every stamp
 // goes stale) and membership is a single array compare. It backs the
-// neighbor-color marking of the coloring rebalancer and the distance-2
-// speculative coloring, replacing their per-vertex map[int32]bool.
+// neighbor-color marking of the speculative coloring and the coloring
+// rebalancer.
 //
 // A Marker is not safe for concurrent use; give each worker its own.
 type Marker struct {

@@ -29,15 +29,9 @@ const (
 	// NoColoring disables coloring preprocessing (the paper's "baseline"
 	// variants): every sweep reads the previous iteration's snapshot.
 	NoColoring ColoringKind = iota
-	// Distance1 is the default speculate-and-resolve greedy distance-1
-	// coloring — the paper's headline configuration.
+	// Distance1 is the speculate-and-resolve greedy distance-1 coloring —
+	// the paper's headline configuration.
 	Distance1
-	// Distance2 colors distance-2 neighborhoods: more colors, less
-	// parallelism per set, stricter isolation between concurrent movers.
-	Distance2
-	// JonesPlassmann selects the Jones–Plassmann parallel coloring instead
-	// of the greedy — exposed for ablation of the preprocessing choice.
-	JonesPlassmann
 )
 
 // BalanceMode selects whether (and by which load metric) color sets are
@@ -54,7 +48,7 @@ const (
 	// sweep's work is actually proportional to.
 	BalanceArcs
 	// BalanceAuto measures each phase's arc-load skew and applies the arc
-	// repair only when it exceeds the AutoBalanceThreshold.
+	// repair only when its ArcRSD exceeds 0.5.
 	BalanceAuto
 )
 
@@ -90,7 +84,7 @@ func VFChains() Option {
 	}
 }
 
-// Coloring enables coloring preprocessing with the given algorithm under the
+// Coloring enables coloring preprocessing of the given kind under the
 // paper's multi-phase policy (§6.1): phases stay colored while they deliver
 // at least the colored threshold of gain (default 1e-3), then the remaining
 // phases run uncolored to the final threshold. By default no vertex cutoff
@@ -99,21 +93,14 @@ func VFChains() Option {
 // Coloring(NoColoring) disables preprocessing explicitly.
 func Coloring(k ColoringKind) Option {
 	return func(c *config) error {
-		c.opts.Distance2Coloring = false
-		c.opts.JonesPlassmann = false
 		switch k {
 		case NoColoring:
 			c.opts.Coloring = core.ColorOff
-			return nil
 		case Distance1:
-		case Distance2:
-			c.opts.Distance2Coloring = true
-		case JonesPlassmann:
-			c.opts.JonesPlassmann = true
+			c.opts.Coloring = core.ColorMultiPhase
 		default:
 			return fmt.Errorf("grappolo: unknown ColoringKind %d", k)
 		}
-		c.opts.Coloring = core.ColorMultiPhase
 		return nil
 	}
 }
@@ -159,19 +146,6 @@ func Balance(m BalanceMode) Option {
 		default:
 			return fmt.Errorf("grappolo: unknown BalanceMode %d", m)
 		}
-		return nil
-	}
-}
-
-// AutoBalanceThreshold sets the per-phase arc-load RSD above which
-// Balance(BalanceAuto) applies the arc repair (default 0.5). Must be
-// positive.
-func AutoBalanceThreshold(rsd float64) Option {
-	return func(c *config) error {
-		if rsd <= 0 {
-			return fmt.Errorf("grappolo: AutoBalanceThreshold must be positive, got %v", rsd)
-		}
-		c.opts.AutoBalanceArcRSD = rsd
 		return nil
 	}
 }
@@ -248,15 +222,6 @@ func KeepHierarchy() Option {
 	}
 }
 
-// SerialRenumber forces the community-renumbering step of the rebuild to
-// run serially, reproducing the paper's implementation exactly.
-func SerialRenumber() Option {
-	return func(c *config) error {
-		c.opts.SerialRenumber = true
-		return nil
-	}
-}
-
 // NoMinLabel disables the minimum-label tie-breaks (ablation only; the
 // paper's baseline always applies them).
 func NoMinLabel() Option {
@@ -321,9 +286,6 @@ func validateConfig(c *config) error {
 		if c.opts.ColoringVertexCutoff != 0 {
 			return fmt.Errorf("grappolo: ColoringCutoff requires Coloring(...)")
 		}
-	}
-	if c.opts.AutoBalanceArcRSD != 0 && c.opts.ColorBalance != core.BalanceAuto {
-		return fmt.Errorf("grappolo: AutoBalanceThreshold requires Balance(BalanceAuto)")
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"grappolo"
 	"grappolo/internal/generate"
@@ -193,7 +194,15 @@ func TestCacheFollowerAllocsBounded(t *testing.T) {
 				t.Error(err)
 			}
 		}()
+		// Both waits below are bounded, by a clock read that allocates
+		// nothing inside the measured rounds. A cache that ignored
+		// CacheBytes would serve these requests from memory, so they
+		// would never queue or join, and an unbounded spin would hang.
+		deadline := time.Now().Add(5 * time.Second)
 		for pool.QueuedWaiters() != 1 {
+			if time.Now().After(deadline) {
+				t.Fatal("leader never queued for the held engine within 5s: it was served from memory, so CacheBytes(1) was ignored")
+			}
 			runtime.Gosched()
 		}
 		base := c.JoinedFollowers()
@@ -209,6 +218,10 @@ func TestCacheFollowerAllocsBounded(t *testing.T) {
 			}(i)
 		}
 		for c.JoinedFollowers() != base+followers {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d followers joined the leader's run within 5s: the rest were served from memory, so CacheBytes(1) was ignored",
+					c.JoinedFollowers()-base, followers)
+			}
 			runtime.Gosched()
 		}
 		pool.ReleaseEnginePermit()

@@ -9,8 +9,8 @@
 //
 // Patterns follow the go tool's shape ("./...", "./internal/par",
 // "./examples/..."); the default is "./...". The -tags flag mirrors go
-// build's: CI runs the suite once per supported tag set (default,
-// faultinject, noasm) so tag-gated files are analyzed too.
+// build's: CI runs the suite once per supported tag set (default and
+// faultinject) so tag-gated files are analyzed too.
 //
 // Exit status: 0 clean, 1 findings reported, 2 usage or load failure.
 package main

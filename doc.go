@@ -373,13 +373,6 @@
 // specialization per (membership-atomicity, objective) instead of branching
 // or calling through closures per arc.
 //
-// On amd64 and arm64 the sweeps also issue software prefetch hints for the
-// neighbor-community gather one vertex ahead (batched, 8 hints per call);
-// graphs below ~256k vertices skip hinting since their working set is
-// cache-resident. Building with -tags noasm swaps the hints for portable
-// no-ops — results are identical, and CI runs the kernel packages both
-// ways.
-//
 // # Coloring policy
 //
 // Coloring follows the paper's multi-phase policy (§6.1): a phase stays
@@ -429,25 +422,22 @@
 // # Static analysis
 //
 // The conventions above are contracts, not habits, and the repo mechanizes
-// them: internal/analysis is a small go/analysis-shaped suite of five
+// them: internal/analysis is a small go/analysis-shaped suite of four
 // repo-specific analyzers, driven by the cmd/grappolovet multichecker and
-// run as a blocking CI step under every build-tag set CI compiles
-// (default, faultinject, noasm). The analyzers: capturebody rejects
+// run as a blocking CI step under both build-tag sets CI compiles
+// (default and faultinject). The analyzers: capturebody rejects
 // capturing func literals (and bound method values) passed as bodies to
 // the par.*Ctx helpers — the zero-alloc contract says those bodies must be
 // package-level captureless functions; internalimport enforces the API
 // boundary (examples/ and cmd/grappolo never import grappolo/internal/...);
-// asmpair proves every assembly-declared function has a
-// signature-identical Go fallback under complementary build constraints,
-// so no tag combination yields a missing or duplicate symbol; typederr
-// rejects ==/!= comparisons against error sentinels (use errors.Is) and
-// fmt.Errorf calls that stringify an error with %v instead of wrapping
-// with %w; hotalloc checks functions annotated with a //grappolo:hotpath
-// directive for per-call allocation sources — map literals and inserts,
-// appends not rooted in a parameter or receiver, fmt calls, interface
-// boxing, and closure creation. Annotate a function hot only when a
-// steady-state allocation test covers the path; the directive is a
-// machine-checked claim, not documentation, and a test in
+// typederr rejects ==/!= comparisons against error sentinels (use
+// errors.Is) and fmt.Errorf calls that stringify an error with %v instead
+// of wrapping with %w; hotalloc checks functions annotated with a
+// //grappolo:hotpath directive for per-call allocation sources — map
+// literals and inserts, appends not rooted in a parameter or receiver, fmt
+// calls, interface boxing, and closure creation. Annotate a function hot
+// only when a steady-state allocation test covers the path; the directive
+// is a machine-checked claim, not documentation, and a test in
 // internal/analysis also checks it against the compiler's escape analysis
 // (go build -gcflags=-m): no "escapes to heap" or "moved to heap" line may
 // fall inside an annotated function. Run the suite with

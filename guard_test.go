@@ -367,8 +367,14 @@ func TestGuardShedsAtDepthBound(t *testing.T) {
 	}()
 	waitFor(t, "first request to queue", func() bool { return gd.Queued() == 1 })
 
+	// The deadline turns an ignored depth bound into a failure: without
+	// it the request would queue behind the held slot forever.
+	sctx, stop := context.WithTimeout(ctx, 5*time.Second)
+	defer stop()
 	start := time.Now()
-	if _, err := gd.Detect(ctx, g); !errors.Is(err, grappolo.ErrOverloaded) {
+	if _, err := gd.Detect(sctx, g); errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("over-bound request queued until its deadline: MaxQueueDepth(1) was not enforced")
+	} else if !errors.Is(err, grappolo.ErrOverloaded) {
 		t.Errorf("over-bound request: err = %v, want an ErrOverloaded match", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -410,11 +416,15 @@ func TestGuardShedsAtWaitBound(t *testing.T) {
 	}
 	defer gd.ReleaseAdmission()
 
-	start := time.Now()
-	if _, err := gd.Detect(ctx, g); !errors.Is(err, grappolo.ErrOverloaded) {
+	// The deadline turns an ignored wait bound into a failure, and also
+	// bounds how long the shed may take: without it the request would
+	// queue behind the held slot forever.
+	sctx, stop := context.WithTimeout(ctx, 5*time.Second)
+	defer stop()
+	if _, err := gd.Detect(sctx, g); errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("wait-bound overrun queued until its 5s deadline: MaxQueueWait(25ms) was not enforced")
+	} else if !errors.Is(err, grappolo.ErrOverloaded) {
 		t.Errorf("wait-bound overrun: err = %v, want an ErrOverloaded match", err)
-	} else if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("wait-bound shed took %v", elapsed)
 	}
 	if s := gd.Stats(); s.Shed != 1 {
 		t.Errorf("Stats().Shed = %d, want 1", s.Shed)

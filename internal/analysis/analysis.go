@@ -1,6 +1,6 @@
 // Package analysis is the repository's static-analysis tier: a small,
 // dependency-free framework in the shape of golang.org/x/tools/go/analysis
-// plus the five grappolo-specific analyzers that mechanize invariants the
+// plus the four grappolo-specific analyzers that mechanize invariants the
 // codebase otherwise enforces by convention (see doc.go's "Static analysis"
 // section at the repo root):
 //
@@ -8,8 +8,6 @@
 //     not be capturing closures (the PR 3 zero-alloc contract)
 //   - internalimport: examples/ and cmd/grappolo must not import
 //     grappolo/internal/...
-//   - asmpair:        assembly-declared funcs must keep a signature-identical
-//     fallback under the complementary build tag
 //   - typederr:       the package's sentinel errors are compared with
 //     errors.Is, never ==/!=; fmt.Errorf wrapping uses %w
 //   - hotalloc:       functions annotated //grappolo:hotpath stay free of
@@ -24,8 +22,10 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
+	"go/printer"
 	"go/token"
 	"go/types"
 	"sort"
@@ -52,9 +52,9 @@ type Pass struct {
 	// (test files are never loaded).
 	Files []*ast.File
 	// IgnoredFiles holds syntax-only trees for same-directory .go files that
-	// the current build-tag set EXCLUDES (e.g. the noasm fallbacks in a
-	// default build). They are parsed but not type-checked; asmpair uses
-	// them to verify cross-tag pairing without a second load.
+	// the current build-tag set EXCLUDES (e.g. the faultinject-only files in
+	// a default build). They are parsed but not type-checked; internalimport
+	// reads them so a tag-gated file cannot hide an import from the guard.
 	IgnoredFiles []*ast.File
 	Pkg          *types.Package
 	TypesInfo    *types.Info
@@ -110,8 +110,17 @@ func Suite() []*Analyzer {
 	return []*Analyzer{
 		CaptureBody,
 		InternalImport,
-		AsmPair,
 		TypedErr,
 		HotAlloc,
 	}
+}
+
+// exprString renders an expression using go/printer; shared by several
+// analyzers' diagnostics.
+func exprString(e ast.Expr) string {
+	var buf bytes.Buffer
+	if err := printer.Fprint(&buf, token.NewFileSet(), e); err != nil {
+		return "<expr>"
+	}
+	return buf.String()
 }

@@ -65,8 +65,8 @@ func runInternalImport(pass *Pass) error {
 			}
 		}
 	}
-	// The guard extends to tag-excluded files: a noasm- or faultinject-only
-	// file in an example must not smuggle an internal import either.
+	// The guard extends to tag-excluded files: a faultinject-only file in
+	// an example must not smuggle an internal import either.
 	for _, f := range pass.IgnoredFiles {
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)

@@ -18,8 +18,8 @@ import (
 
 // Config describes one load of the tree under analysis: where the module
 // lives, what its import path is, and which build-tag set selects files.
-// Running the suite under several tag sets (default, faultinject, noasm —
-// what CI does) is several loads with different Tags.
+// Running the suite under both tag sets CI builds (default and
+// faultinject) is two loads with different Tags.
 type Config struct {
 	// Root is the directory holding the code to load. For the real
 	// repository this is the module root; for anatest fixtures it is the

@@ -21,10 +21,6 @@ func TestInternalImport(t *testing.T) {
 	)
 }
 
-func TestAsmPair(t *testing.T) {
-	anatest.Run(t, "testdata", analysis.AsmPair, "asmpair")
-}
-
 func TestTypedErr(t *testing.T) {
 	anatest.Run(t, "testdata", analysis.TypedErr, "typederr")
 }
@@ -35,10 +31,9 @@ func TestHotAlloc(t *testing.T) {
 
 // TestRepoSuiteClean is the in-tree mirror of the blocking grappolovet CI
 // step: the full suite over the whole module must report nothing, under the
-// default tag set and under the two tag sets CI builds (faultinject arms
-// the fault-injection probes, noasm swaps in the portable prefetch
-// fallbacks). A finding here is a real invariant violation in the tree —
-// fix the code, don't touch the analyzer.
+// default tag set and under the faultinject tag set CI also builds, which
+// arms the fault-injection probes. A finding here is a real invariant
+// violation in the tree — fix the code, don't touch the analyzer.
 func TestRepoSuiteClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short runs")
@@ -47,7 +42,7 @@ func TestRepoSuiteClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tags := range [][]string{nil, {"faultinject"}, {"noasm"}} {
+	for _, tags := range [][]string{nil, {"faultinject"}} {
 		cfg := analysis.Config{Root: root, Module: "grappolo", Tags: tags}
 		findings, err := analysis.Run(cfg, analysis.Suite(), nil)
 		if err != nil {
@@ -62,7 +57,7 @@ func TestRepoSuiteClean(t *testing.T) {
 // TestSuiteNames pins the analyzer lineup: CI and docs reference these
 // names, so renames must be deliberate.
 func TestSuiteNames(t *testing.T) {
-	want := []string{"capturebody", "internalimport", "asmpair", "typederr", "hotalloc"}
+	want := []string{"capturebody", "internalimport", "typederr", "hotalloc"}
 	suite := analysis.Suite()
 	if len(suite) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(suite), len(want))

@@ -28,7 +28,6 @@ type phaseState struct {
 	obj      Objective
 	cpmGamma float64
 	nodeSize []int64 // original-vertex count per (meta-)vertex (CPM only)
-	pref     bool    // graph is big enough for row prefetch hints to pay
 	commNS   []int64 // Σ nodeSize per community (CPM only; nil ⇒ modularity)
 	nsBuf    []int64 // pooled backing for commNS (which must stay nil-able)
 	// scratch holds one neighbor-community accumulator per worker, grown in
@@ -112,7 +111,6 @@ func (st *phaseState) reset(g *graph.Graph, opts Options, nodeSize []int64, work
 	st.minLbl = !opts.DisableMinLabel
 	st.obj = opts.Objective
 	st.cpmGamma = opts.CPMGamma
-	st.pref = n >= prefetchMinVertices
 	st.nodeSize, st.commNS = nil, nil
 	if st.obj == ObjCPM {
 		st.nodeSize = nodeSize
@@ -276,39 +274,6 @@ func (st *phaseState) decideAsync(i int, membership []int32, acc *par.SparseAccu
 		return st.bestCPMAtomic(i, ci, acc)
 	}
 	return st.bestModAtomic(i, ci, acc)
-}
-
-// prefetchMinVertices gates the row prefetch hints: below this many
-// vertices the membership array (4 B/vertex ⇒ 1 MiB at the threshold) is
-// L2-resident on any modern core, the gathers all hit, and the
-// non-inlinable asm call is pure overhead (measured ~12% of a medium-RGG
-// sweep on a 1 MiB-L2 Xeon). At and above it the scattered membership
-// reads start missing to L3/DRAM, which is the latency the hints exist to
-// hide.
-const prefetchMinVertices = 1 << 18
-
-// prefetchRow hints the CPU toward the membership slots vertex i's row is
-// about to gather — the one scattered read per arc that sequential CSR
-// streaming cannot hide. The sweep bodies call it one vertex AHEAD of the
-// one being decided, so the hints have a full decide's latency to land.
-// Hints are issued eight at a time through the batched asm helper because
-// assembly calls cannot be inlined: one call per eight arcs keeps the
-// overhead off the per-arc hot path (a per-arc call costs more than the
-// misses it hides on cache-resident graphs). Rows shorter than a batch get a
-// single scalar hint for their first target; under the noasm build tag every
-// hint compiles to an inlined no-op.
-//
-//grappolo:hotpath
-func (st *phaseState) prefetchRow(i int, membership []int32) {
-	nbr, _ := st.g.Neighbors(i)
-	n := len(nbr)
-	t := 0
-	for ; t+8 <= n; t += 8 {
-		par.PrefetchComm8(&membership[0], &nbr[t])
-	}
-	if t < n {
-		par.Prefetch32(&membership[nbr[t]])
-	}
 }
 
 // accumSnap gathers e_{i→C} for every neighboring community of i with plain
@@ -605,9 +570,6 @@ func (st *phaseState) sweepUncolored(workers int) {
 		acc := st.scratch[w]
 		skip := st.skip.live
 		for i := lo; i < hi; i++ {
-			if st.pref && i+1 < hi {
-				st.prefetchRow(i+1, st.prev) // hints land while i decides
-			}
 			if skip && st.certified(i) {
 				continue
 			}
@@ -694,9 +656,6 @@ func (st *phaseState) decideSet(set []int32, w, lo, hi int) {
 	acc := st.scratch[w]
 	for t := lo; t < hi; t++ {
 		i := int(set[t])
-		if st.pref && t+1 < hi {
-			st.prefetchRow(int(set[t+1]), st.curr) // hints land while i decides
-		}
 		st.prev[i], st.within[i] = st.decideLive(i, st.curr, acc)
 	}
 }
@@ -727,11 +686,8 @@ func (st *phaseState) applySet(set []int32, lo, hi int) {
 //grappolo:hotpath
 func (st *phaseState) moveSet(set []int32) {
 	acc := st.scratch[0]
-	for t, v := range set {
+	for _, v := range set {
 		i := int(v)
-		if st.pref && t+1 < len(set) {
-			st.prefetchRow(int(set[t+1]), st.curr) // hints land while i decides
-		}
 		old := st.curr[i]
 		next, delta := st.decideLive(i, st.curr, acc)
 		st.within[i] = delta
@@ -870,9 +826,6 @@ func (st *phaseState) sweepAsync(workers int) {
 		}
 		acc := st.scratch[w]
 		for i := lo; i < hi; i++ {
-			if st.pref && i+1 < hi {
-				st.prefetchRow(i+1, st.curr) // hints land while i decides
-			}
 			old := atomicLoad32(&st.curr[i])
 			next := st.decideAsync(i, st.curr, acc)
 			if next != old {

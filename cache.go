@@ -56,9 +56,10 @@ import (
 // paper's real-time future-work item as a serving-tier fast path — instead
 // of a cold engine run. Such results are marked Result.Incremental: a valid
 // clustering of the request's graph whose quality tracks incremental
-// Louvain (re-anchored by full re-detections per DeltaRefreshFraction)
-// rather than matching a cold run bit-for-bit. Deletions and rewires never
-// route; they fall through to the backend.
+// Louvain (re-anchored by a full re-detection once a quarter of the
+// maintainer's vertices have been touched) rather than matching a cold run
+// bit-for-bit. Deletions and rewires never route; they fall through to the
+// backend.
 //
 // Memory: the cache retains each admitted graph and result (and any
 // maintainer) and evicts least-recently-used entries once the estimated
@@ -134,7 +135,6 @@ type cacheConfig struct {
 	ttl      time.Duration
 	maxBytes int64
 	delta    int
-	refresh  float64
 }
 
 // CacheOption configures a Cache.
@@ -181,19 +181,6 @@ func DeltaEdits(k int) CacheOption {
 	}
 }
 
-// DeltaRefreshFraction sets the touched-vertex fraction at which a cached
-// maintainer re-anchors quality with a full re-detection (default 0.25).
-// Must be in (0, 1].
-func DeltaRefreshFraction(f float64) CacheOption {
-	return func(c *cacheConfig) error {
-		if f <= 0 || f > 1 {
-			return fmt.Errorf("grappolo: DeltaRefreshFraction must be in (0, 1], got %v", f)
-		}
-		c.refresh = f
-		return nil
-	}
-}
-
 // NewCache wraps backend — a *Pool or *Sharded, or any other tier that
 // serves from an engine pool — in a result cache. All
 // traffic for the backend should route through the Cache (a detection that
@@ -204,7 +191,7 @@ func NewCache(backend Detecter, copts ...CacheOption) (*Cache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("grappolo: NewCache: %w", err)
 	}
-	c := cacheConfig{maxBytes: 256 << 20, refresh: 0.25}
+	c := cacheConfig{maxBytes: 256 << 20}
 	for _, o := range copts {
 		if o == nil {
 			return nil, fmt.Errorf("grappolo: nil CacheOption")
@@ -226,9 +213,8 @@ func NewCache(backend Detecter, copts ...CacheOption) (*Cache, error) {
 		MaxBytes:   c.maxBytes,
 		DeltaEdges: c.delta,
 		Dynamic: dynamic.Options{
-			Workers:         pool.opts.Workers,
-			RefreshFraction: c.refresh,
-			Full:            pool.opts.Defaults(),
+			Workers: pool.opts.Workers,
+			Full:    pool.opts.Defaults(),
 		},
 	})
 	return &Cache{

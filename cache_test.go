@@ -431,9 +431,6 @@ func TestNewCacheConfig(t *testing.T) {
 	if _, err := grappolo.NewCache(pool, grappolo.CacheBytes(0)); err == nil {
 		t.Error("zero byte budget accepted")
 	}
-	if _, err := grappolo.NewCache(pool, grappolo.DeltaRefreshFraction(1.5)); err == nil {
-		t.Error("out-of-range DeltaRefreshFraction accepted")
-	}
 	cpm, err := grappolo.NewPool(1, grappolo.Workers(1), grappolo.CPM(1.0))
 	if err != nil {
 		t.Fatal(err)

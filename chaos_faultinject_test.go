@@ -88,8 +88,7 @@ func TestChaosGuardSoak(t *testing.T) {
 		workers    = 8
 		perWorker  = 25
 		poolSize   = 2
-		maxWait    = 25 * time.Millisecond
-		shedBudget = maxWait + 5*time.Second // generous CI-scheduling slack
+		shedBudget = 5 * time.Second // a depth shed never waits; generous CI-scheduling slack
 	)
 	ctx := context.Background()
 	graphs := []*grappolo.Graph{
@@ -98,8 +97,8 @@ func TestChaosGuardSoak(t *testing.T) {
 		cliqueRing(t, 5, 8),
 	}
 	// Bit-identical references for both quality profiles, computed before
-	// any plan is armed. The degraded reference is the documented default
-	// degraded profile layered on the pool's (default) options.
+	// any plan is armed. The degraded reference is the documented degraded
+	// profile layered on the pool's (default) options.
 	wantFull := make([]*grappolo.Result, len(graphs))
 	wantFast := make([]*grappolo.Result, len(graphs))
 	for i, g := range graphs {
@@ -119,14 +118,13 @@ func TestChaosGuardSoak(t *testing.T) {
 	}
 	// MaxInFlight deliberately below the worker count and a slowed pool
 	// serve (below) so the admission queue really builds: the soak must
-	// exercise ALL outcome classes — degraded serves, depth and wait
-	// sheds — not just the happy path with sprinkled panics. The Cache
-	// retains nothing, so every request misses and the engine probes fire
-	// once per run, as they would on a bare pool.
+	// exercise ALL outcome classes — degraded serves and depth sheds —
+	// not just the happy path with sprinkled panics. The Cache retains
+	// nothing, so every request misses and the engine probes fire once per
+	// run, as they would on a bare pool.
 	gd, err := grappolo.NewGuard(newCache(t, pool, retainNothing),
 		grappolo.MaxInFlight(2),
 		grappolo.MaxQueueDepth(3),
-		grappolo.MaxQueueWait(maxWait),
 		grappolo.DetectDeadline(5*time.Second),
 		grappolo.DegradeAtDepth(2))
 	if err != nil {

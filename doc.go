@@ -110,8 +110,9 @@
 // replayed onto an incremental maintainer seeded from the cached
 // membership — the streaming tier applied to re-uploads — and the result is
 // marked Result.Incremental: a valid clustering of the requested graph
-// whose quality tracks incremental Louvain (re-anchored per
-// DeltaRefreshFraction) rather than matching a cold run bit-for-bit.
+// whose quality tracks incremental Louvain (re-anchored by a full
+// re-detection once a quarter of the maintainer's vertices have been
+// touched) rather than matching a cold run bit-for-bit.
 // Deletions and rewires always fall through to the backend. A Cache
 // composes under a Guard (NewGuard accepts it as a backend), is safe for
 // concurrent use, and exposes Invalidate/InvalidateAll for callers whose
@@ -127,11 +128,10 @@
 // behind:
 //
 //	gd, err := grappolo.NewGuard(c,
-//		grappolo.MaxInFlight(4*pool.Size()),      // hits and followers take no engine
-//		grappolo.MaxQueueDepth(32),               // shed past this backlog
-//		grappolo.MaxQueueWait(50*time.Millisecond), // shed slow-queue waiters
-//		grappolo.DetectDeadline(2*time.Second),   // default per-request budget
-//		grappolo.DegradeAtDepth(8),               // fast profile under pressure
+//		grappolo.MaxInFlight(4*pool.Size()),    // hits and followers take no engine
+//		grappolo.MaxQueueDepth(32),             // shed past this backlog
+//		grappolo.DetectDeadline(2*time.Second), // default per-request budget
+//		grappolo.DegradeAtDepth(8),             // fast profile under pressure
 //	)
 //	...
 //	res, err := gd.Detect(ctx, g)
@@ -143,22 +143,21 @@
 //		_ = res.Degraded // true iff served by the degraded profile
 //	}
 //
-// Bounded admission: a request that would queue deeper than MaxQueueDepth,
-// or that has queued longer than MaxQueueWait, fails fast with an error
-// matching ErrOverloaded — typed back-pressure the caller can convert to a
-// retry-later response. The bound is enforced atomically at the admission
-// queue, admitted requests keep their FIFO order, and a caller's own
-// context failing while queued is reported as that context's error, never
-// disguised as overload. Requests with no deadline of their own receive
+// Bounded admission: a request that would queue deeper than MaxQueueDepth
+// fails fast with an error matching ErrOverloaded — typed back-pressure the
+// caller can convert to a retry-later response. The bound is enforced
+// atomically at the admission queue, admitted requests keep their FIFO
+// order, and a caller's own context failing while queued is reported as
+// that context's error, never disguised as overload. Requests with no deadline of their own receive
 // DetectDeadline as a default budget (a caller-supplied deadline is always
 // respected as-is), enforced by the engine's chunk-granular cooperative
 // cancellation.
 //
 // Graceful degradation: past DegradeAtDepth queued waiters, requests are
-// served by a SECOND size-classed engine set running a cheaper
-// pre-validated profile — by default the paper's own quality/speed knobs
+// served by a SECOND size-classed engine set running a cheaper profile —
+// the backend's configuration with the paper's own quality/speed knobs
 // tightened to at most 2 phases, 8 iterations per phase, and coarser gain
-// thresholds (5e-2 colored, 1e-3 final); DegradeProfile overrides that.
+// thresholds (5e-2 colored, 1e-3 final).
 // Degraded results are real clusterings of the full graph, bit-identical
 // to a one-shot detection under the degraded profile, and marked with
 // Result.Degraded so callers can label cached entries. When the queue
@@ -185,19 +184,22 @@
 //
 // # Scaling out: sharded detection with ghost-label exchange
 //
-// The serving tiers above scale REQUESTS; Sharded scales the GRAPH. It
-// partitions the input into shards (block ranges, arc-balanced ranges, or
-// whole connected components), extracts one subgraph per shard in which
-// every external neighbor appears as a frozen GHOST vertex — cut edges are
-// kept as local–ghost halo edges, not dropped — and runs synchronized
-// rounds of local-move sweeps, one engine per shard checked out of the
-// wrapped Pool. Between rounds, shards exchange boundary community labels
-// at a barrier: each shard re-seeds from the latest global labels with its
-// ghosts pinned to their owners' assignments, so a boundary vertex can join
-// a community that lives on another shard. A final master merge coarsens
-// the FULL graph by the exchanged labels (cut edges now aggregated into
-// real meta-edges) and re-clusters the coarse graph with a complete engine
-// run:
+// The serving tiers above scale REQUESTS; Sharded models the paper's §7
+// distributed-memory setting, in which no single engine holds the whole
+// graph during the local phase. It does not speed up one host: on the
+// shard-suite benchmark (a 2-vCPU host) a 4-shard detection took about 3×
+// as long as one shared-memory run. It partitions the input into shards
+// (block ranges or arc-balanced ranges), extracts one subgraph per shard
+// in which every external neighbor appears as a frozen GHOST vertex — cut
+// edges are kept as local–ghost halo edges, not dropped — and runs
+// synchronized rounds of local-move sweeps, one engine per shard checked
+// out of the wrapped Pool. Between rounds, shards exchange boundary
+// community labels at a barrier: each shard re-seeds from the latest
+// global labels with its ghosts pinned to their owners' assignments, so a
+// boundary vertex can join a community that lives on another shard. A
+// final master merge coarsens the FULL graph by the exchanged labels (cut
+// edges now aggregated into real meta-edges) and re-clusters the coarse
+// graph with a complete engine run:
 //
 //	sh, err := grappolo.NewSharded(pool,
 //		grappolo.WithShards(8),
@@ -235,7 +237,11 @@
 // FlushCtx surfaces cancellation of the full re-detections a flush can
 // escalate to (the overlay stays consistent and the refresh is retried on
 // the next flush), and OnApply registers a post-batch hook — the natural
-// place to call Cache.Invalidate for the stream's seed graph. Synthetic inputs reproducing the paper's
+// place to call Cache.Invalidate for the stream's seed graph. A batch
+// re-decides its frontier in ascending vertex order, so with integer edge
+// weights the same seed, options and edges give the same Membership and
+// Modularity bits on every run; the Cache's delta tier runs the same
+// maintainer under the same contract. Synthetic inputs reproducing the paper's
 // 11-graph suite live in grappolo/generate; partition-agreement measures
 // (Table 3) in grappolo/quality.
 //

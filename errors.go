@@ -14,12 +14,11 @@ import (
 var ErrNilGraph = errors.New("grappolo: nil graph")
 
 // ErrOverloaded is the load-shedding sentinel: a Guard returns an error
-// matching it (via errors.Is) when a request is refused instead of served —
-// either because the admission queue is at its configured depth bound, or
-// because the request waited in the queue longer than its configured
-// bound. Shed errors are produced FAST by design: the caller learns within
-// its queue-wait budget that it should retry later or fail over, rather
-// than piling onto the admission queue.
+// matching it (via errors.Is) when a request is refused instead of served
+// because the admission queue is at its configured depth bound. Shed
+// errors are produced FAST by design: the caller learns without queueing
+// that it should retry later or fail over, rather than piling onto the
+// admission queue.
 var ErrOverloaded = errors.New("grappolo: overloaded")
 
 // ErrEngineFault is the panic-quarantine sentinel: errors.Is reports it

@@ -51,10 +51,9 @@ func poolOf(backend Detecter) (*Pool, error) {
 // — the resilience tier of the serving stack (Detector → Pool → Cache →
 // Guard). Four behaviors, each off until configured:
 //
-//   - Bounded admission (MaxQueueDepth, MaxQueueWait): a request that
-//     would queue behind more than the configured depth, or that has
-//     already queued longer than the configured wait, is SHED with an
-//     error matching ErrOverloaded — fast, typed back-pressure instead of
+//   - Bounded admission (MaxQueueDepth): a request that would queue
+//     behind more than the configured depth is SHED with an error
+//     matching ErrOverloaded — fast, typed back-pressure instead of
 //     an unbounded pile-up on the pool's admission queue. Admission is
 //     still FIFO-fair: shedding never reorders the requests it admits.
 //
@@ -63,14 +62,13 @@ func poolOf(backend Detecter) (*Pool, error) {
 //     engine's chunk-granular cooperative cancellation; a caller-supplied
 //     deadline is always respected as-is.
 //
-//   - Graceful degradation (DegradeAtDepth, DegradeProfile): once queue
-//     pressure reaches the configured depth, requests are served by a
-//     SECOND size-classed engine set running a cheaper pre-validated
-//     profile (tighter thresholds, fewer phases/iterations — the paper's
-//     own quality/speed knobs), and the Result is marked Degraded. Under a
-//     burst the queue drains at the fast profile's pace instead of
-//     collapsing; when pressure subsides, full-quality serving resumes by
-//     itself.
+//   - Graceful degradation (DegradeAtDepth): once queue pressure reaches
+//     the configured depth, requests are served by a SECOND size-classed
+//     engine set running a cheaper profile (coarser thresholds, fewer
+//     phases/iterations — the paper's own quality/speed knobs), and the
+//     Result is marked Degraded. Under a burst the queue drains at the
+//     fast profile's pace instead of collapsing; when pressure subsides,
+//     full-quality serving resumes by itself.
 //
 //   - Panic quarantine: a request whose engine run panics returns an
 //     *EngineFaultError (matching ErrEngineFault) instead of unwinding the
@@ -89,14 +87,12 @@ type Guard struct {
 	admit    *par.FairSem
 
 	maxQueue  int           // >= 0 bounds the admission queue; -1 unbounded
-	maxWait   time.Duration // > 0 bounds time spent queued
 	deadline  time.Duration // > 0 default detection deadline
 	degradeAt int           // > 0: queue depth at which requests degrade
 
-	// Preallocated shed errors: shedding is the hot path of an overloaded
+	// Preallocated shed error: shedding is the hot path of an overloaded
 	// server, and it should not allocate its way deeper into the overload.
 	errDepth error
-	errWait  error
 
 	shed      atomic.Int64
 	degradedN atomic.Int64
@@ -108,7 +104,7 @@ type Guard struct {
 // degraded engine sets (Led counts engine runs wherever they ran).
 type GuardStats struct {
 	PoolStats
-	// Shed counts requests refused with ErrOverloaded (depth or wait).
+	// Shed counts requests refused with ErrOverloaded.
 	Shed int64
 	// Degraded counts requests served by the degraded fast profile.
 	Degraded int64
@@ -120,12 +116,10 @@ type GuardStats struct {
 
 // guardConfig accumulates GuardOption applications.
 type guardConfig struct {
-	maxInFlight    int
-	maxQueue       int
-	maxWait        time.Duration
-	deadline       time.Duration
-	degradeAt      int
-	degradeProfile []Option
+	maxInFlight int
+	maxQueue    int
+	deadline    time.Duration
+	degradeAt   int
 }
 
 // GuardOption configures a Guard.
@@ -145,22 +139,9 @@ func MaxQueueDepth(n int) GuardOption {
 	}
 }
 
-// MaxQueueWait bounds the time a request may spend queued for admission:
-// past d it is shed with ErrOverloaded (unless its own context fails
-// first, which wins). d must be positive.
-func MaxQueueWait(d time.Duration) GuardOption {
-	return func(c *guardConfig) error {
-		if d <= 0 {
-			return fmt.Errorf("grappolo: MaxQueueWait must be positive, got %v", d)
-		}
-		c.maxWait = d
-		return nil
-	}
-}
-
 // DetectDeadline sets the default per-request detection deadline applied
 // when the caller's context has none. It covers the engine run, not the
-// queue wait (MaxQueueWait bounds that); enforcement is the engine's
+// time spent queued for admission; enforcement is the engine's
 // chunk-granular cooperative cancellation, so overruns surface as
 // context.DeadlineExceeded within one chunk of sweep work. d must be
 // positive. Note the Guard must derive a timer context for requests that
@@ -178,31 +159,18 @@ func DetectDeadline(d time.Duration) GuardOption {
 
 // DegradeAtDepth enables graceful degradation: a request that joins the
 // admission queue at depth n or beyond is served by the degraded engine
-// set (see DegradeProfile) and its Result is marked Degraded. n must be at
-// least 1 — depth 0 would degrade unqueued requests, which is just a
-// cheaper configuration, not degradation.
+// set and its Result is marked Degraded. The degraded engines run the
+// backend pool's configuration with the paper's quality/speed knobs
+// tightened: at most 2 phases, at most 8 iterations per phase, and gain
+// thresholds of 5e-2 (colored) and 1e-3 (final). n must be at least 1 —
+// depth 0 would degrade unqueued requests, which is just a cheaper
+// configuration, not degradation.
 func DegradeAtDepth(n int) GuardOption {
 	return func(c *guardConfig) error {
 		if n < 1 {
 			return fmt.Errorf("grappolo: DegradeAtDepth must be at least 1, got %d", n)
 		}
 		c.degradeAt = n
-		return nil
-	}
-}
-
-// DegradeProfile sets the option overrides layered onto the backend
-// pool's configuration for the degraded engine set (requires
-// DegradeAtDepth). The combined profile is validated by NewGuard exactly
-// like a primary configuration. Without this option, degradation tightens
-// the paper's quality/speed knobs to a fast default: at most 2 phases, at
-// most 8 iterations per phase, and coarser gain thresholds.
-func DegradeProfile(opts ...Option) GuardOption {
-	return func(c *guardConfig) error {
-		if len(opts) == 0 {
-			return fmt.Errorf("grappolo: DegradeProfile needs at least one Option")
-		}
-		c.degradeProfile = opts
 		return nil
 	}
 }
@@ -228,9 +196,8 @@ func MaxInFlight(n int) GuardOption {
 // that serves from an engine pool — in a Guard. With no options the Guard
 // only adds panic quarantine; shedding, deadlines and degradation are
 // enabled by their respective options. Configuration errors (a backend
-// without an engine pool, negative bounds, a degrade profile without
-// DegradeAtDepth, an invalid degraded option combination) are returned,
-// never coerced.
+// without an engine pool, out-of-range bounds) are returned, never
+// coerced.
 func NewGuard(backend Detecter, gopts ...GuardOption) (*Guard, error) {
 	pool, err := poolOf(backend)
 	if err != nil {
@@ -245,9 +212,6 @@ func NewGuard(backend Detecter, gopts ...GuardOption) (*Guard, error) {
 			return nil, err
 		}
 	}
-	if c.degradeProfile != nil && c.degradeAt == 0 {
-		return nil, fmt.Errorf("grappolo: DegradeProfile requires DegradeAtDepth")
-	}
 	inFlight := c.maxInFlight
 	if inFlight == 0 {
 		inFlight = pool.Size()
@@ -257,46 +221,28 @@ func NewGuard(backend Detecter, gopts ...GuardOption) (*Guard, error) {
 		pool:      pool,
 		admit:     par.NewFairSem(inFlight),
 		maxQueue:  c.maxQueue,
-		maxWait:   c.maxWait,
 		deadline:  c.deadline,
 		degradeAt: c.degradeAt,
 	}
 	if c.maxQueue >= 0 {
 		gd.errDepth = &overloadError{reason: fmt.Sprintf("admission queue at its depth bound (%d)", c.maxQueue)}
 	}
-	if c.maxWait > 0 {
-		gd.errWait = &overloadError{reason: fmt.Sprintf("request queued longer than %v", c.maxWait)}
-	}
 	if c.degradeAt > 0 {
-		opts, err := degradedOptions(pool.opts, c.degradeProfile)
-		if err != nil {
-			return nil, fmt.Errorf("grappolo: invalid degraded profile: %w", err)
-		}
-		gd.degraded = newPoolCore(pool.Size(), opts)
+		gd.degraded = newPoolCore(pool.Size(), degradedOptions(pool.opts))
 	}
 	return gd, nil
 }
 
-// degradedOptions derives the degraded engine configuration: the primary
-// pool's validated options with the profile overrides applied on top, the
-// whole combination re-validated. A nil profile applies the default
-// tightening of the paper's quality/speed knobs.
-func degradedOptions(base core.Options, profile []Option) (core.Options, error) {
-	if profile == nil {
-		profile = []Option{
-			MaxPhases(2),
-			MaxIterations(8),
-			Thresholds(5e-2, 1e-3),
-		}
-	}
-	c := config{opts: base}
-	if err := applyOptions(&c, profile); err != nil {
-		return core.Options{}, err
-	}
-	if err := validateConfig(&c); err != nil {
-		return core.Options{}, err
-	}
-	return c.opts, nil
+// degradedOptions derives the degraded engine configuration from the
+// primary pool's validated options (see DegradeAtDepth). Each value it sets
+// is one Validate accepts under any objective, coloring or VF setting, so
+// the result stays valid.
+func degradedOptions(o core.Options) core.Options {
+	o.MaxPhases = 2
+	o.MaxIterations = 8
+	o.ColoredThreshold = 5e-2
+	o.FinalThreshold = 1e-3
+	return o
 }
 
 // Detect runs detection on g through the Guard's admission, deadline and
@@ -331,32 +277,17 @@ func (gd *Guard) DetectInto(ctx context.Context, g *Graph, res *Result) (*Result
 			return nil, gd.errDepth
 		}
 		degrade = gd.degradeAt > 0 && depth >= gd.degradeAt
-		waitCtx := ctx
-		var cancelWait context.CancelFunc
-		if gd.maxWait > 0 {
-			waitCtx, cancelWait = context.WithTimeout(ctx, gd.maxWait)
-		}
-		err := gd.admit.AcquireLimited(waitCtx, gd.maxQueue)
-		if cancelWait != nil {
-			cancelWait()
-		}
-		if err != nil {
-			switch {
-			case errors.Is(err, par.ErrQueueFull):
+		if err := gd.admit.AcquireLimited(ctx, gd.maxQueue); err != nil {
+			if errors.Is(err, par.ErrQueueFull) {
 				// Lost the depth race to concurrent arrivals — the bound
 				// is enforced atomically at the queue, the check above is
 				// only the fast path.
 				gd.shed.Add(1)
 				return nil, gd.errDepth
-			case ctx.Err() != nil:
-				// The caller's own context failed (cancellation or its own
-				// deadline) — that is not shedding, report it as-is.
-				return nil, ctx.Err()
-			default:
-				// Only the Guard-imposed queue-wait timer is left.
-				gd.shed.Add(1)
-				return nil, gd.errWait
 			}
+			// The caller's own context failed (cancellation or its own
+			// deadline) — that is not shedding, report it as-is.
+			return nil, err
 		}
 	}
 	defer gd.admit.Release()
@@ -426,6 +357,6 @@ func (gd *Guard) Queued() int { return gd.admit.QueueLen() }
 
 // String describes the guard for logs.
 func (gd *Guard) String() string {
-	return fmt.Sprintf("grappolo.Guard(inflight=%d, queued=%d, maxqueue=%d, maxwait=%v, deadline=%v, degradeAt=%d)",
-		gd.admit.Cap(), gd.admit.QueueLen(), gd.maxQueue, gd.maxWait, gd.deadline, gd.degradeAt)
+	return fmt.Sprintf("grappolo.Guard(inflight=%d, queued=%d, maxqueue=%d, deadline=%v, degradeAt=%d)",
+		gd.admit.Cap(), gd.admit.QueueLen(), gd.maxQueue, gd.deadline, gd.degradeAt)
 }

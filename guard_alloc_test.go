@@ -28,7 +28,6 @@ func TestGuardWarmZeroAllocs(t *testing.T) {
 	}
 	gd, err := grappolo.NewGuard(pool,
 		grappolo.MaxQueueDepth(4),
-		grappolo.MaxQueueWait(time.Second),
 		grappolo.DetectDeadline(time.Minute),
 		grappolo.DegradeAtDepth(3))
 	if err != nil {

@@ -97,7 +97,7 @@ func BenchmarkPhaseUncolored(b *testing.B) {
 			var stats PhaseStats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, stats, _, _ = eng.runPhase(g, o.FinalThreshold, nil, false, nil, stats.Modularity)
+				_, stats, _, _ = eng.runPhase(g, o.FinalThreshold, nil, nil, stats.Modularity)
 			}
 			b.ReportMetric(float64(g.N()), "vertices")
 			b.ReportMetric(float64(stats.Iterations), "iters")

@@ -282,15 +282,13 @@ func (e *Engine) reaggregateNodeSizes(membership []int32, nodeSize []int64, nc, 
 // runPhase executes the iterations of one phase per Algorithm 1 and returns
 // the dense membership (aliasing the engine's pooled buffer — consumed by the
 // fold and rebuild before the next phase), the trace, and the final score.
-// colorSets is nil for uncolored phases; arcEven marks arc-rebalanced sets
-// (see phaseState.arcEvenSets); modBuf, when non-nil, is recycled backing for
-// the per-iteration score trace.
-func (e *Engine) runPhase(g *graph.Graph, threshold float64, colorSets *coloring.Coloring, arcEven bool, nodeSize []int64, modBuf []float64) ([]int32, PhaseStats, float64, bool) {
+// colorSets is nil for uncolored phases; modBuf, when non-nil, is recycled
+// backing for the per-iteration score trace.
+func (e *Engine) runPhase(g *graph.Graph, threshold float64, colorSets *coloring.Coloring, nodeSize []int64, modBuf []float64) ([]int32, PhaseStats, float64, bool) {
 	opts := e.opts
 	workers := opts.Workers
 	st := &e.st
 	st.reset(g, opts, nodeSize, workers)
-	st.arcEvenSets = arcEven
 	st.ctx, st.cancel = e.runCtx, &e.cancel
 	stats := PhaseStats{VertexCount: g.N(), Modularity: modBuf[:0]}
 	iters, q, aborted := e.iterate(colorSets, opts.Async, threshold, &stats.Modularity)
@@ -477,7 +475,6 @@ func (e *Engine) runInto(ctx context.Context, g *graph.Graph, res *Result) (*Res
 		var cs *coloring.Coloring
 		var colorTime time.Duration
 		var colorRSD, colorArcRSD float64
-		arcEven := false
 		if colored {
 			t0 := time.Now()
 			cs = coloring.ParallelWith(cur, workers, e.colorSc)
@@ -501,7 +498,6 @@ func (e *Engine) runInto(ctx context.Context, g *graph.Graph, res *Result) (*Res
 				by := coloring.BalanceByVertices
 				if balance == BalanceArcs {
 					by = coloring.BalanceByArcs
-					arcEven = true
 				}
 				cs = coloring.Rebalance(cur, cs, coloring.RebalanceOptions{
 					Workers: workers,
@@ -529,7 +525,7 @@ func (e *Engine) runInto(ctx context.Context, g *graph.Graph, res *Result) (*Res
 			modBuf = oldPhases[phase].Modularity
 		}
 		t0 := time.Now()
-		membership, stats, q, aborted := e.runPhase(cur, threshold, cs, arcEven, nodeSize, modBuf)
+		membership, stats, q, aborted := e.runPhase(cur, threshold, cs, nodeSize, modBuf)
 		if aborted {
 			return nil, cancelErr(ctx)
 		}

@@ -213,30 +213,6 @@ func TestBalanceAutoTracksSkew(t *testing.T) {
 	}
 }
 
-// TestArcEvenSetsSkipPrefixMatchesChunked pins satellite scheduling: at one
-// worker the arc-even direct-set path and the prefix-chunked path must visit
-// vertices in the same order, so forced arc rebalancing (which enables the
-// skip) stays bit-identical to a run that chunks the same rebalanced sets by
-// prefix. Exercised implicitly by TestEngineReuseMatchesFreshRun; here the
-// two sweep schedulers are compared head to head on one phase.
-func TestArcEvenSetsSkipPrefixMatchesChunked(t *testing.T) {
-	g := generate.MustGenerate(generate.CNR, generate.Small, 0, 4)
-	o := Options{Workers: 1}.Defaults()
-	cs := coloring.Parallel(g, 1)
-
-	run := func(arcEven bool) []int32 {
-		st := newPhaseState(g, o, nil, 1)
-		st.arcEvenSets = arcEven
-		st.sweepColored(cs.Sets, 1)
-		out := make([]int32, len(st.curr))
-		copy(out, st.curr)
-		return out
-	}
-	if !slices.Equal(run(true), run(false)) {
-		t.Fatal("arc-even direct-set sweep differs from prefix-chunked sweep at one worker")
-	}
-}
-
 func BenchmarkEngineReuse(b *testing.B) {
 	g := generate.MustGenerate(generate.RGG, generate.ScaleFromEnv(), 0, 0)
 	o := BaselineVFColor(0)

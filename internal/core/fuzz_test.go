@@ -195,7 +195,7 @@ func TestSweepAggregateConsistency(t *testing.T) {
 			if _, _, err := eng.SweepSeeded(context.Background(), g, seed, own, out); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-		} else if _, _, _, aborted := eng.runPhase(g, opts.FinalThreshold, nil, false, nodeSize, nil); aborted {
+		} else if _, _, _, aborted := eng.runPhase(g, opts.FinalThreshold, nil, nodeSize, nil); aborted {
 			t.Fatalf("%s: phase aborted", c.name)
 		}
 		checkAggregates(t, c.name+" after the phase", &eng.st, eng.st.curr, c.tol)

@@ -43,12 +43,6 @@ type phaseState struct {
 	colorPrefix [][]int64
 	prefixBuf   []int64
 	prefixReady bool
-	// arcEvenSets marks that the phase's coloring was arc-rebalanced: the
-	// sets are even by total arc count by construction, so the colored sweep
-	// skips both the colorPrefix build and per-set arc chunking and uses
-	// plain dynamic count chunks (the ROADMAP's "consume rebalanced sets
-	// directly" item).
-	arcEvenSets bool
 	// sweepOwn bounds the vertices uncolored sweeps may MOVE: vertices in
 	// [sweepOwn, n) are pinned — they contribute to community aggregates and
 	// attract neighbors but never change community. reset sets it to n
@@ -118,7 +112,6 @@ func (st *phaseState) reset(g *graph.Graph, opts Options, nodeSize []int64, work
 		st.commNS = st.nsBuf
 	}
 	st.prefixReady = false
-	st.arcEvenSets = false
 	st.sweepOwn = n
 	st.skip.live = false
 	st.skip.budget = 0
@@ -728,12 +721,9 @@ const colorMergeCutoff = 2048
 // refresh follows a colored sweep, their rounding carries through the phase.
 //
 // Within a set, decide chunks are balanced by member arc counts (prefix
-// sum over OutDegree into the pooled colorPrefix buffers) — unless the
-// coloring was arc-rebalanced (arcEvenSets), in which case the sets are
-// already even by construction and plain dynamic count chunks skip both the
-// prefix build and the binary-search chunking. Runs of sets smaller than
-// colorMergeCutoff share one worker team via par.ForStagesCtx (see the
-// constant's comment).
+// sum over OutDegree into the pooled colorPrefix buffers). Runs of sets
+// smaller than colorMergeCutoff share one worker team via par.ForStagesCtx
+// (see the constant's comment).
 //
 // The sweep starts from the aggregates in place, which must be curr's: the
 // phase's opening score leaves them so, and every colored sweep's moves keep
@@ -750,7 +740,7 @@ func (st *phaseState) sweepColored(sets [][]int32, workers int) {
 		}
 		return
 	}
-	if !st.arcEvenSets && !st.prefixReady {
+	if !st.prefixReady {
 		total := 0
 		for _, set := range sets {
 			total += len(set) + 1
@@ -803,11 +793,7 @@ func (st *phaseState) sweepColored(sets [][]int32, workers int) {
 		}
 		set := sets[si]
 		st.curSet = set
-		if st.arcEvenSets {
-			par.ForChunkWorkerCtx(st, len(set), workers, 0, decideColoredSet)
-		} else {
-			par.ForChunkPrefixCtx(st, st.colorPrefix[si], workers, decideColoredSet)
-		}
+		par.ForChunkPrefixCtx(st, st.colorPrefix[si], workers, decideColoredSet)
 		par.ForChunkCtx(st, len(set), workers, 0, applyColoredSet)
 		si++
 	}

@@ -70,7 +70,7 @@ func checkPhaseChain(t *testing.T, name string, g *graph.Graph, opts Options) {
 	for level := 0; g.N() > 0; level++ {
 		ref := newPhaseState(g, opts, nodeSize, opts.Workers)
 		trace, q := referencePhase(ref, opts.FinalThreshold, opts.MaxIterations, opts.Workers)
-		dense, stats, gotQ, aborted := eng.runPhase(g, opts.FinalThreshold, nil, false, nodeSize, nil)
+		dense, stats, gotQ, aborted := eng.runPhase(g, opts.FinalThreshold, nil, nodeSize, nil)
 		where := fmt.Sprintf("%s level %d (n=%d)", name, level, g.N())
 		if aborted {
 			t.Fatalf("%s: phase aborted", where)
@@ -221,23 +221,21 @@ func referenceColoredPhase(st *phaseState, sets [][]int32, threshold float64, ma
 }
 
 // colorSets colors one phase's graph the way a run would for some
-// configuration, and reports whether the sets are arc-rebalanced.
-type colorSets func(g *graph.Graph, workers int) (*coloring.Coloring, bool)
+// configuration.
+type colorSets func(g *graph.Graph, workers int) *coloring.Coloring
 
-func distance1Sets(g *graph.Graph, workers int) (*coloring.Coloring, bool) {
-	return coloring.Parallel(g, workers), false
+func distance1Sets(g *graph.Graph, workers int) *coloring.Coloring {
+	return coloring.Parallel(g, workers)
 }
 
-func vertexBalancedSets(g *graph.Graph, workers int) (*coloring.Coloring, bool) {
-	cs := coloring.Rebalance(g, coloring.Parallel(g, workers),
+func vertexBalancedSets(g *graph.Graph, workers int) *coloring.Coloring {
+	return coloring.Rebalance(g, coloring.Parallel(g, workers),
 		coloring.RebalanceOptions{Workers: workers, By: coloring.BalanceByVertices})
-	return cs, false
 }
 
-func arcBalancedSets(g *graph.Graph, workers int) (*coloring.Coloring, bool) {
-	cs := coloring.Rebalance(g, coloring.Parallel(g, workers),
+func arcBalancedSets(g *graph.Graph, workers int) *coloring.Coloring {
+	return coloring.Rebalance(g, coloring.Parallel(g, workers),
 		coloring.RebalanceOptions{Workers: workers, By: coloring.BalanceByArcs})
-	return cs, true
 }
 
 // coloredPhase is what one colored Engine phase reported.
@@ -268,14 +266,13 @@ func checkColoredChain(t *testing.T, name string, g *graph.Graph, opts Options, 
 	var phases []coloredPhase
 	for level := 0; g.N() > 0; level++ {
 		where := fmt.Sprintf("%s level %d (n=%d)", name, level, g.N())
-		cs, arcEven := sets(g, opts.Workers)
-		dense, stats, gotQ, aborted := eng.runPhase(g, opts.ColoredThreshold, cs, arcEven, nodeSize, nil)
+		cs := sets(g, opts.Workers)
+		dense, stats, gotQ, aborted := eng.runPhase(g, opts.ColoredThreshold, cs, nodeSize, nil)
 		if aborted {
 			t.Fatalf("%s: phase aborted", where)
 		}
 		if exact {
 			ref := newPhaseState(g, opts, nodeSize, opts.Workers)
-			ref.arcEvenSets = arcEven
 			trace, q := referenceColoredPhase(ref, cs.Sets, opts.ColoredThreshold, opts.MaxIterations, opts.Workers)
 			if stats.Iterations != len(trace) || !sameBits(stats.Modularity, trace) {
 				t.Fatalf("%s: %d iterations, trace %v; reference %d iterations, trace %v",

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"grappolo/internal/core"
 	"grappolo/internal/graph"
@@ -44,9 +45,6 @@ type Options struct {
 	// RefreshFraction triggers a full re-run once the touched-vertex
 	// fraction since the last full run exceeds it (default 0.25).
 	RefreshFraction float64
-	// LocalRounds is the number of local-move rounds per batch over the
-	// affected frontier (default 2).
-	LocalRounds int
 	// Core options used for full re-runs; zero value = BaselineVFColor.
 	Full core.Options
 }
@@ -57,9 +55,6 @@ func (o Options) defaults() Options {
 	}
 	if o.RefreshFraction <= 0 {
 		o.RefreshFraction = 0.25
-	}
-	if o.LocalRounds <= 0 {
-		o.LocalRounds = 2
 	}
 	zero := core.Options{}
 	if o.Full == zero {
@@ -350,29 +345,32 @@ func (m *Maintainer) grow(n int) {
 	}
 }
 
+// localRounds is the number of local-move rounds per batch over the
+// affected frontier.
+const localRounds = 2
+
 // localOptimize re-decides the touched frontier (touched vertices plus
 // their neighbors) with serial Louvain local moves seeded from the current
-// assignment, for LocalRounds rounds.
+// assignment, for localRounds rounds.
 func (m *Maintainer) localOptimize() {
 	frontier := make([]int32, 0, len(m.touched)*4)
-	inFrontier := make(map[int32]struct{}, len(m.touched)*4)
-	add := func(v int32) {
-		if _, ok := inFrontier[v]; !ok {
-			inFrontier[v] = struct{}{}
-			frontier = append(frontier, v)
-		}
-	}
 	for v := range m.touched {
-		add(v)
+		frontier = append(frontier, v)
 		for u := range m.adj[v] {
-			add(u)
+			frontier = append(frontier, u)
 		}
 	}
+	// Each move reads the moves before it, so the visit order decides the
+	// outcome. Ascending ids make it independent of map iteration order:
+	// with integer weights every sum below is exact, and a batch's result
+	// repeats from run to run.
+	slices.Sort(frontier)
+	frontier = slices.Compact(frontier)
 	mval := m.m2 / 2
 	if mval == 0 {
 		return
 	}
-	for round := 0; round < m.opts.LocalRounds; round++ {
+	for round := 0; round < localRounds; round++ {
 		moved := 0
 		for _, i := range frontier {
 			ci := m.comm[i]

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"grappolo/internal/core"
@@ -388,5 +390,52 @@ func TestFullRunAllocsBounded(t *testing.T) {
 	// engine Result (hundreds of allocations).
 	if warm > 120 {
 		t.Fatalf("warm refresh allocates %v times, want <= 120", warm)
+	}
+}
+
+// TestBatchRepeats pins the streaming determinism contract: with integer
+// edge weights, a maintainer seeded from the same membership that applies
+// the same batch reaches the same Membership and Modularity bits on every
+// run. The frontier's serial local moves read each other's results, so a
+// visit order taken from Go's randomized map iteration would let the
+// outcome vary between runs.
+func TestBatchRepeats(t *testing.T) {
+	const runs = 50
+	full := core.BaselineVFColor(1)
+	for _, in := range []generate.Input{generate.RGG, generate.CNR, generate.LiveJournal, generate.MG1} {
+		g := generate.MustGenerate(in, generate.Small, 0, 1)
+		seed := core.NewEngine(full).Run(g).Membership
+		rng := rand.New(rand.NewPCG(1, 2))
+		edges := make([]graph.Edge, 64)
+		for i := range edges {
+			edges[i] = graph.Edge{U: int32(rng.IntN(g.N())), V: int32(rng.IntN(g.N())), W: 1}
+		}
+		var want []int32
+		var wantQ uint64
+		for r := 0; r < runs; r++ {
+			m, err := NewSeeded(g, seed, Options{Workers: 1, Full: full})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range edges {
+				if err := m.AddEdge(e.U, e.V, e.W); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m.Flush()
+			if m.FullRuns() != 0 || m.BatchApplies() != 1 {
+				t.Fatalf("%s: the batch ran %d full re-detections and %d incremental applies, want 0 and 1",
+					in, m.FullRuns(), m.BatchApplies())
+			}
+			q := math.Float64bits(m.Modularity())
+			if r == 0 {
+				want, wantQ = slices.Clone(m.Membership()), q
+				continue
+			}
+			if !slices.Equal(m.Membership(), want) || q != wantQ {
+				t.Fatalf("%s: run %d gave Q %v, run 0 gave Q %v (memberships equal: %v)",
+					in, r, math.Float64frombits(q), math.Float64frombits(wantQ), slices.Equal(m.Membership(), want))
+			}
+		}
 	}
 }

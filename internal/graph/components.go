@@ -2,8 +2,8 @@ package graph
 
 // ConnectedComponents labels each vertex with a component id in [0, count)
 // using an iterative BFS. Returns the label slice and the component count.
-// Used by generators (to guarantee connectivity where the paper's inputs
-// are connected) and by tests.
+// Only tests call it, to check that generators meant to emit connected
+// graphs do.
 func ConnectedComponents(g *Graph) ([]int32, int) {
 	n := g.N()
 	label := make([]int32, n)
@@ -33,52 +33,4 @@ func ConnectedComponents(g *Graph) ([]int32, int) {
 		}
 	}
 	return label, count
-}
-
-// LargestComponent returns the induced subgraph of g's largest connected
-// component together with the mapping old-id → new-id (-1 for dropped
-// vertices). If g is connected it returns g itself and an identity mapping.
-func LargestComponent(g *Graph, p int) (*Graph, []int32) {
-	label, count := ConnectedComponents(g)
-	n := g.N()
-	if count <= 1 {
-		ident := make([]int32, n)
-		for i := range ident {
-			ident[i] = int32(i)
-		}
-		return g, ident
-	}
-	sizes := make([]int64, count)
-	for _, l := range label {
-		sizes[l]++
-	}
-	best := 0
-	for c := 1; c < count; c++ {
-		if sizes[c] > sizes[best] {
-			best = c
-		}
-	}
-	remap := make([]int32, n)
-	next := int32(0)
-	for i := 0; i < n; i++ {
-		if label[i] == int32(best) {
-			remap[i] = next
-			next++
-		} else {
-			remap[i] = -1
-		}
-	}
-	b := NewBuilder(int(next))
-	for i := 0; i < n; i++ {
-		if remap[i] < 0 {
-			continue
-		}
-		nbr, wt := g.Neighbors(i)
-		for t, j := range nbr {
-			if int(j) >= i && remap[j] >= 0 {
-				b.AddEdge(remap[i], remap[j], wt[t])
-			}
-		}
-	}
-	return b.Build(p), remap
 }

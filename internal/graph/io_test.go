@@ -284,34 +284,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
-func TestLargestComponent(t *testing.T) {
-	b := NewBuilder(7)
-	// component A: 0-1-2-3 (4 vertices), component B: 4-5 , isolated 6.
-	b.AddEdge(0, 1, 2)
-	b.AddEdge(1, 2, 1)
-	b.AddEdge(2, 3, 1)
-	b.AddEdge(4, 5, 1)
-	g := b.Build(2)
-	sub, remap := LargestComponent(g, 2)
-	if sub.N() != 4 {
-		t.Fatalf("largest component n=%d want 4", sub.N())
-	}
-	if remap[4] != -1 || remap[6] != -1 {
-		t.Fatal("dropped vertices must map to -1")
-	}
-	if w, ok := sub.EdgeWeight(int(remap[0]), int(remap[1])); !ok || w != 2 {
-		t.Fatal("edge weight lost in extraction")
-	}
-	// Connected graph returns the same object.
-	b2 := NewBuilder(2)
-	b2.AddEdge(0, 1, 1)
-	g2 := b2.Build(1)
-	same, remap2 := LargestComponent(g2, 1)
-	if same != g2 || remap2[1] != 1 {
-		t.Fatal("connected graph should be returned unchanged")
-	}
-}
-
 func assertSameGraph(t *testing.T, a, b *Graph) {
 	t.Helper()
 	if a.N() != b.N() || a.ArcCount() != b.ArcCount() {

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 
 	"grappolo/internal/graph"
 )
@@ -19,13 +18,6 @@ const (
 	// (boundaries found on the CSR offset prefix), so a few hub-heavy id
 	// ranges cannot overload one shard the way even vertex counts let them.
 	ModeArcs
-	// ModeComponents groups whole connected components
-	// (graph.ConnectedComponents) and packs them onto shards
-	// largest-arc-count-first onto the lightest shard, so no community is
-	// ever split across shards when the graph is disconnected. A component
-	// larger than the ideal shard load still lands on one shard whole —
-	// this mode trades balance for zero cut edges between components.
-	ModeComponents
 )
 
 // String names the mode for logs and errors.
@@ -35,8 +27,6 @@ func (m PartitionMode) String() string {
 		return "block"
 	case ModeArcs:
 		return "arcs"
-	case ModeComponents:
-		return "components"
 	}
 	return fmt.Sprintf("PartitionMode(%d)", int(m))
 }
@@ -60,41 +50,6 @@ func partition(g *graph.Graph, shards int, mode PartitionMode) ([]int32, [][]int
 				s++
 			}
 			part[v] = int32(s)
-		}
-	case ModeComponents:
-		label, count := graph.ConnectedComponents(g)
-		// Arc weight per component, then LPT: heaviest component first onto
-		// the currently lightest shard (ties to the lower shard id, so the
-		// packing is deterministic).
-		arcs := make([]int64, count)
-		for v := 0; v < n; v++ {
-			arcs[label[v]] += int64(g.OutDegree(v)) + 1 // +1 counts isolated vertices as load
-		}
-		order := make([]int, count)
-		for c := range order {
-			order[c] = c
-		}
-		sort.Slice(order, func(a, b int) bool {
-			ca, cb := order[a], order[b]
-			if arcs[ca] != arcs[cb] {
-				return arcs[ca] > arcs[cb]
-			}
-			return ca < cb
-		})
-		load := make([]int64, shards)
-		compShard := make([]int32, count)
-		for _, c := range order {
-			best := 0
-			for s := 1; s < shards; s++ {
-				if load[s] < load[best] {
-					best = s
-				}
-			}
-			compShard[c] = int32(best)
-			load[best] += arcs[c]
-		}
-		for v := 0; v < n; v++ {
-			part[v] = compShard[label[v]]
 		}
 	default:
 		return nil, nil, fmt.Errorf("shard: unknown partition mode %d", int(mode))

@@ -4,8 +4,8 @@
 //
 // The pipeline:
 //
-//  1. Partition the vertex set into shards (block ranges, arc-balanced
-//     ranges, or whole connected components — see PartitionMode).
+//  1. Partition the vertex set into shards (block ranges or arc-balanced
+//     ranges — see PartitionMode).
 //  2. Extract one subgraph per shard with graph.GhostSubgraph: the shard's
 //     own vertices plus one frozen GHOST per external neighbor, every cut
 //     edge kept as a local–ghost halo edge instead of dropped.

@@ -46,7 +46,7 @@ func checkPartition(t *testing.T, g *graph.Graph, shards int, mode PartitionMode
 
 func TestPartitionModes(t *testing.T) {
 	g := generate.MustGenerate(generate.CNR, generate.Small, 0, 2)
-	for _, mode := range []PartitionMode{ModeBlock, ModeArcs, ModeComponents} {
+	for _, mode := range []PartitionMode{ModeBlock, ModeArcs} {
 		for _, shards := range []int{1, 2, 5, 16} {
 			checkPartition(t, g, shards, mode)
 		}
@@ -170,30 +170,6 @@ func TestShardedDeterministic(t *testing.T) {
 				t.Fatalf("trial %d: membership diverges at vertex %d", trial, v)
 			}
 		}
-	}
-}
-
-func TestShardedComponentsModeZeroCut(t *testing.T) {
-	// Disjoint cliques: ModeComponents must never split a component, so the
-	// partition has zero cut edges and local phases see whole communities.
-	b := graph.NewBuilder(20)
-	for base := int32(0); base < 20; base += 5 {
-		for i := int32(0); i < 5; i++ {
-			for j := i + 1; j < 5; j++ {
-				b.AddEdge(base+i, base+j, 1)
-			}
-		}
-	}
-	g := b.Build(1)
-	res, err := Run(context.Background(), g, Options{Shards: 3, Mode: ModeComponents}, testSrc(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CutEdges != 0 {
-		t.Fatalf("components mode cut %d edges", res.CutEdges)
-	}
-	if res.NumCommunities != 4 {
-		t.Fatalf("%d communities, want 4 cliques", res.NumCommunities)
 	}
 }
 

@@ -247,28 +247,18 @@ func Async() Option {
 // first invalid setting.
 func buildOptions(opts []Option) (core.Options, error) {
 	var c config
-	if err := applyOptions(&c, opts); err != nil {
-		return core.Options{}, err
+	for _, o := range opts {
+		if o == nil {
+			return core.Options{}, fmt.Errorf("grappolo: nil Option")
+		}
+		if err := o(&c); err != nil {
+			return core.Options{}, err
+		}
 	}
 	if err := validateConfig(&c); err != nil {
 		return core.Options{}, err
 	}
 	return c.opts, nil
-}
-
-// applyOptions applies opts to c in order. Split from buildOptions so the
-// Guard can layer a degraded profile's overrides on top of a pool's
-// already-built options before re-validating the combination.
-func applyOptions(c *config, opts []Option) error {
-	for _, o := range opts {
-		if o == nil {
-			return fmt.Errorf("grappolo: nil Option")
-		}
-		if err := o(c); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // validateConfig runs the core validation plus the public-surface

@@ -19,19 +19,26 @@ const (
 	// PartitionArcs splits vertex ids into contiguous ranges of even arc
 	// count, so hub-heavy id ranges cannot overload one shard.
 	PartitionArcs = shard.ModeArcs
-	// PartitionComponents packs whole connected components onto shards, so
-	// no community of a disconnected graph is ever split.
-	PartitionComponents = shard.ModeComponents
 )
 
 // Sharded serves detections by a sharded parallel Louvain with ghost-label
-// exchange — the scale-out tier of the serving stack. The graph is
-// partitioned into shards, each shard runs local-move sweeps on its own
-// subgraph with frozen GHOST images of its external neighbors (every cut
-// edge kept as a halo edge, unlike a drop-cut-edges partition scheme),
-// shards exchange boundary labels at synchronized barriers, and a final
-// master merge coarsens the full graph by the exchanged labels and
-// re-clusters it.
+// exchange. The graph is partitioned into shards, each shard runs
+// local-move sweeps on its own subgraph with frozen GHOST images of its
+// external neighbors (every cut edge kept as a halo edge, unlike a
+// drop-cut-edges partition scheme), shards exchange boundary labels at
+// synchronized barriers, and a final master merge coarsens the full graph
+// by the exchanged labels and re-clusters it.
+//
+// The tier models the paper's §7 distributed-memory setting, in which no
+// process holds the whole graph during the local phase; it does not speed
+// up one host. In a traced run of the benchmark's shard-suite workload
+// (4 shards, 2 exchange rounds, arc partition, 6 Large graphs; seed 1, a
+// 2-vCPU host) a sharded detection took 3.09× as long as a shared-memory
+// run of the same graph, with at least 0.997 of its modularity. Three
+// engine paths exist only for it: graph.GhostSubgraph builds each shard's
+// subgraph, core.Engine.SweepSeeded sweeps it from the exchanged labels,
+// and the pinned-suffix (sweepOwn) loop of the uncolored sweep keeps the
+// ghosts fixed.
 //
 // Engines for the per-shard sweeps and the merge run are checked out of the
 // wrapped Pool per use, so shard concurrency is bounded by the pool size —
@@ -89,7 +96,7 @@ func WithExchangeRounds(r int) ShardOption {
 func WithPartition(m PartitionMode) ShardOption {
 	return func(c *shardConfig) error {
 		switch m {
-		case PartitionBlock, PartitionArcs, PartitionComponents:
+		case PartitionBlock, PartitionArcs:
 			c.mode = m
 			return nil
 		}

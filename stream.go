@@ -57,18 +57,6 @@ func RefreshFraction(f float64) StreamOption {
 	}
 }
 
-// LocalRounds sets the number of local-move rounds applied to the affected
-// frontier per batch (default 2).
-func LocalRounds(n int) StreamOption {
-	return func(o *dynamic.Options) error {
-		if n <= 0 {
-			return fmt.Errorf("grappolo: LocalRounds must be positive, got %d", n)
-		}
-		o.LocalRounds = n
-		return nil
-	}
-}
-
 // NewStream seeds a stream with an initial graph and runs the first full
 // detection. Detection options (the same Option values New accepts)
 // configure the full re-detection runs; stream options configure batching

@@ -165,8 +165,6 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 		"negative-thresholds":   {grappolo.Thresholds(-1, 0)},
 		"negative-resolution":   {grappolo.Resolution(-2)},
 		"zero-resolution":       {grappolo.Resolution(0)},
-		"negative-maxiter":      {grappolo.MaxIterations(-1)},
-		"negative-maxphases":    {grappolo.MaxPhases(-3)},
 		"unknown-coloring-kind": {grappolo.Coloring(grappolo.ColoringKind(99))},
 		// Kinds 2 and 3 named two retired colorings: a caller built against
 		// them gets an error, not a different coloring.
@@ -191,54 +189,67 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 
 // TestDetectHonorsCancellation pins the context contract on a large RGG:
 // a canceled Detect returns ctx.Err() promptly — far sooner than the full
-// detection takes — and the Detector stays usable afterwards.
+// detection takes — and the Detector stays usable afterwards. An uncolored
+// one-worker run polls between sweeps and chunks; a colored run at two
+// workers sweeps its color sets on one worker team, whose remaining stages
+// return at their first chunk once the run is canceled.
 func TestDetectHonorsCancellation(t *testing.T) {
 	g := generate.MustGenerate(generate.RGG, generate.Medium, 0, 0)
-	det, err := grappolo.New(grappolo.Workers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		opts []grappolo.Option
+	}{
+		{"uncolored-w1", []grappolo.Option{grappolo.Workers(1)}},
+		{"colored-w2", []grappolo.Option{grappolo.VertexFollowing(), grappolo.Coloring(grappolo.Distance1), grappolo.Workers(2)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			det, err := grappolo.New(tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Reference timing: one full, uncancelled detection.
-	start := time.Now()
-	want, err := det.Detect(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := time.Since(start)
+			// Reference timing: one full, uncancelled detection.
+			start := time.Now()
+			want, err := det.Detect(context.Background(), g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := time.Since(start)
 
-	// Pre-canceled context: no detection work at all.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if res, err := det.Detect(ctx, g); !errors.Is(err, context.Canceled) || res != nil {
-		t.Fatalf("pre-canceled Detect: res=%v err=%v, want nil, context.Canceled", res, err)
-	}
+			// Pre-canceled context: no detection work at all.
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if res, err := det.Detect(ctx, g); !errors.Is(err, context.Canceled) || res != nil {
+				t.Fatalf("pre-canceled Detect: res=%v err=%v, want nil, context.Canceled", res, err)
+			}
 
-	// Mid-run cancellation: cancel a twentieth of the way in; the run must
-	// abort well before a full detection's worth of work.
-	delay := full / 20
-	if delay < time.Millisecond {
-		delay = time.Millisecond
-	}
-	ctx, cancel = context.WithCancel(context.Background())
-	timer := time.AfterFunc(delay, cancel)
-	defer timer.Stop()
-	start = time.Now()
-	res, err := det.Detect(ctx, g)
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.Canceled) || res != nil {
-		t.Fatalf("canceled Detect: res=%v err=%v, want nil, context.Canceled", res, err)
-	}
-	if elapsed > full/2+delay {
-		t.Fatalf("canceled Detect took %v (cancel after %v); full run takes %v — cancellation not prompt", elapsed, delay, full)
-	}
+			// Mid-run cancellation: cancel a twentieth of the way in; the run
+			// must abort well before a full detection's worth of work.
+			delay := full / 20
+			if delay < time.Millisecond {
+				delay = time.Millisecond
+			}
+			ctx, cancel = context.WithCancel(context.Background())
+			timer := time.AfterFunc(delay, cancel)
+			defer timer.Stop()
+			start = time.Now()
+			res, err := det.Detect(ctx, g)
+			elapsed := time.Since(start)
+			if !errors.Is(err, context.Canceled) || res != nil {
+				t.Fatalf("canceled Detect: res=%v err=%v, want nil, context.Canceled", res, err)
+			}
+			if elapsed > full/2+delay {
+				t.Fatalf("canceled Detect took %v (cancel after %v); full run takes %v — cancellation not prompt", elapsed, delay, full)
+			}
 
-	// The Detector (and its warmed scratch) survives cancellation.
-	res, err = det.Detect(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
+			// The Detector (and its warmed scratch) survives cancellation.
+			res, err = det.Detect(context.Background(), g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, "post-cancel", res, want)
+		})
 	}
-	sameResult(t, "post-cancel", res, want)
 }
 
 // TestExamplesUseOnlyPublicAPI enforces the API-boundary invariant: no file

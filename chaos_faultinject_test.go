@@ -107,7 +107,7 @@ func TestChaosGuardSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 		if wantFast[i], err = grappolo.Detect(ctx, g,
-			grappolo.MaxPhases(2), grappolo.MaxIterations(8), grappolo.Thresholds(5e-2, 1e-3)); err != nil {
+			grappolo.PhaseCaps(2, 8), grappolo.Thresholds(5e-2, 1e-3)); err != nil {
 			t.Fatal(err)
 		}
 	}

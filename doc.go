@@ -262,9 +262,11 @@
 // per slot so Reset is O(1) and no clearing ever touches untouched slots.
 // Accumulators are pooled per worker (par.ForChunkWorker/ForChunkPrefix
 // expose the worker index) and reused across sweeps, making the
-// steady-state decide loop allocation-free; sweep chunks are balanced by
-// arc count over the CSR offsets rather than vertex count, so hub-heavy
-// skewed inputs cannot serialize a sweep. First-touch key order equals the
+// steady-state decide loop allocation-free; uncolored and async sweep
+// chunks are balanced by arc count over the CSR offsets rather than vertex
+// count, so hub-heavy skewed inputs cannot serialize a sweep. A colored
+// sweep runs its color sets on one worker team (par.ForStagesCtx), whose
+// stages chunk each set by member count. First-touch key order equals the
 // old map-insertion order, keeping all deterministic paths bit-identical.
 //
 // # Scored snapshot sweeps
@@ -416,12 +418,11 @@
 // balanced by vertex count — and auto mode (BalanceAuto, -balance auto)
 // measures the base coloring's ArcRSD each phase and applies the arc repair
 // only when it exceeds core.BalanceAutoArcRSD (0.5), the one constant that
-// harness.ColorSkew's "auto" column reads too. When a phase's sets were
-// arc-rebalanced the colored sweep consumes them directly: the per-set arc
-// prefix sums and binary-search chunking are skipped because the sets are
-// even by construction. The rebalancer never increases the color count, is
-// deterministic for any worker count, and its per-round load RSD is
-// non-increasing. coloring.Stats and core.PhaseStats report both the
+// harness.ColorSkew's "auto" column reads too. The colored sweep chunks
+// every set by member count, whichever mode built the sets: the repair evens
+// the work between sets, not within one. The rebalancer never increases the
+// color count, is deterministic for any worker count, and its per-round load
+// RSD is non-increasing. coloring.Stats and core.PhaseStats report both the
 // vertex-count and arc-count RSDs (harness.ColorSkew / benchtables
 // -colorskew tabulate them, along with the mode auto would pick).
 //

@@ -37,6 +37,16 @@ func (p *Pool) IdleEngines() int {
 	return len(p.idle)
 }
 
+// PhaseCaps sets the engine's MaxPhases and MaxIterations, which no public
+// option sets: only the Guard's degraded engines set them. Tests build their
+// degraded reference with it, independently of degradedOptions.
+func PhaseCaps(phases, iterations int) Option {
+	return func(c *config) error {
+		c.opts.MaxPhases, c.opts.MaxIterations = phases, iterations
+		return nil
+	}
+}
+
 // HoldAdmission parks one of the Guard's admission slots (queuing FIFO
 // like a request would), so tests can pile requests up at known queue
 // depths. Pair with ReleaseAdmission.

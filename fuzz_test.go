@@ -81,9 +81,9 @@ func FuzzGraphBuilder(f *testing.F) {
 // panic, never silent coercion into a run) or produce a valid partition on
 // a fixed exercising graph. The raw float lanes feed gamma/threshold inputs
 // with negatives, zeros, NaN and infinities. Coloring kinds 2 and 3 (two
-// retired colorings) and 99 must be rejected. Flag bits 6 and 13 selected
-// two retired options; they stay unassigned, so the committed corpus
-// selects the same other options.
+// retired colorings) and 99 must be rejected. Flag bits 6, 10, 11 and 13
+// selected four retired options; they stay unassigned, so the committed
+// corpus selects the same other options.
 func FuzzDetectOptions(f *testing.F) {
 	f.Add(uint16(0), int8(2), 1.0, 0.01, uint8(0))
 	f.Add(uint16(0xffff), int8(1), 0.5, 1e-6, uint8(255))
@@ -129,12 +129,6 @@ func FuzzDetectOptions(f *testing.F) {
 		}
 		if flags&(1<<9) != 0 {
 			opts = append(opts, grappolo.CPM(gamma))
-		}
-		if flags&(1<<10) != 0 {
-			opts = append(opts, grappolo.MaxIterations(int(knobs)%5))
-		}
-		if flags&(1<<11) != 0 {
-			opts = append(opts, grappolo.MaxPhases(int(knobs)%4))
 		}
 		if flags&(1<<12) != 0 {
 			opts = append(opts, grappolo.KeepHierarchy())

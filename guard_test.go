@@ -489,7 +489,7 @@ func TestGuardDegradesUnderPressure(t *testing.T) {
 	// The documented degraded profile, layered on the pool's own options
 	// exactly as NewGuard derives it.
 	wantFast, err := grappolo.Detect(ctx, g, grappolo.Workers(1),
-		grappolo.MaxPhases(2), grappolo.MaxIterations(8), grappolo.Thresholds(5e-2, 1e-3))
+		grappolo.PhaseCaps(2, 8), grappolo.Thresholds(5e-2, 1e-3))
 	if err != nil {
 		t.Fatal(err)
 	}

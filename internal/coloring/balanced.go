@@ -40,13 +40,6 @@ type RebalanceOptions struct {
 	Scratch *Scratch
 }
 
-// Balanced rebalances an existing distance-1 coloring so that color-set
-// vertex counts are as even as possible while remaining a valid coloring.
-// It is shorthand for Rebalance with BalanceByVertices.
-func Balanced(g *graph.Graph, base *Coloring, p int) *Coloring {
-	return Rebalance(g, base, RebalanceOptions{Workers: p})
-}
-
 // Rebalance repairs an existing coloring toward even per-color loads without
 // ever increasing the color count. It runs the same speculate-and-resolve
 // pattern as Parallel, but over load repair moves instead of first-fit

@@ -45,7 +45,7 @@ func BenchmarkBalancedRebalance(b *testing.B) {
 	base := Parallel(g, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Balanced(g, base, 0)
+		_ = Rebalance(g, base, RebalanceOptions{})
 	}
 }
 

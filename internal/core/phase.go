@@ -35,14 +35,6 @@ type phaseState struct {
 	// decide loop is allocation-free in steady state (§5.5: the per-vertex
 	// map was the dominant clustering cost).
 	scratch []*par.SparseAccum
-	// colorPrefix caches, per color set, the arc prefix sum that drives
-	// arc-balanced chunking in colored sweeps. Sets and OutDegree are
-	// immutable for the whole phase, so it is built once on the first
-	// colored sweep and reused by every later iteration. prefixBuf is the
-	// pooled backing array for all sets.
-	colorPrefix [][]int64
-	prefixBuf   []int64
-	prefixReady bool
 	// sweepOwn bounds the vertices uncolored sweeps may MOVE: vertices in
 	// [sweepOwn, n) are pinned — they contribute to community aggregates and
 	// attract neighbors but never change community. reset sets it to n
@@ -67,17 +59,14 @@ type phaseState struct {
 	// within-community sum of Eq. (3) (CPM's within2). score sets it, and a
 	// colored phase keeps it current from its sweeps' moves (scoreMoves).
 	in float64
-	// transient loop-body inputs (set immediately before the loops that read
-	// them; carried here so the captureless bodies reach them via the state
-	// pointer).
-	curSet     []int32   // sweepColored's current color set
-	mergeSets  [][]int32 // sweepColored's current run of merged small sets
-	prefixSets [][]int32 // colorPrefix build input sets
+	// colorSets holds a colored sweep's sets while its staged pass runs, so
+	// the captureless stage bodies reach them via the state pointer.
+	colorSets [][]int32
 	// ctx/cancel carry the owning run's cooperative cancellation (nil when
 	// the run is not cancellable — standalone states and plain Run/RunInto).
-	// ctx is polled at the barriers between sweeps and color sets; the
-	// latched cancel flag is what sweep bodies observe once per chunk, so
-	// the per-vertex hot loops stay branch-free.
+	// ctx is polled at the barriers between sweeps and, at one worker,
+	// between color sets; sweep bodies poll once per chunk (stop), so the
+	// per-vertex hot loops stay branch-free.
 	ctx    context.Context
 	cancel *par.Cancel
 }
@@ -111,7 +100,6 @@ func (st *phaseState) reset(g *graph.Graph, opts Options, nodeSize []int64, work
 		st.nsBuf = par.Resize(st.nsBuf, n)
 		st.commNS = st.nsBuf
 	}
-	st.prefixReady = false
 	st.sweepOwn = n
 	st.skip.live = false
 	st.skip.budget = 0
@@ -611,21 +599,12 @@ func (st *phaseState) decideRecord(i int, acc *par.SparseAccum) {
 	}
 }
 
-// decideColoredSet and applyColoredSet are the two stages of one color set
-// (see sweepColored) over members lo..hi-1 of curSet.
+// colorStage is stage s of a colored sweep at several workers: stage 2k
+// decides members lo..hi-1 of color set k, and stage 2k+1 applies them.
 //
 //grappolo:hotpath
-func decideColoredSet(st *phaseState, w, lo, hi int) { st.decideSet(st.curSet, w, lo, hi) }
-
-//grappolo:hotpath
-func applyColoredSet(st *phaseState, lo, hi int) { st.applySet(st.curSet, lo, hi) }
-
-// sweepMergedStage is one stage of a merged run of small color sets: stage
-// 2k decides set k of mergeSets and stage 2k+1 applies it.
-//
-//grappolo:hotpath
-func sweepMergedStage(st *phaseState, s, w, lo, hi int) {
-	set := st.mergeSets[s/2]
+func colorStage(st *phaseState, s, w, lo, hi int) {
+	set := st.colorSets[s/2]
 	if s%2 == 0 {
 		st.decideSet(set, w, lo, hi)
 	} else {
@@ -633,8 +612,9 @@ func sweepMergedStage(st *phaseState, s, w, lo, hi int) {
 	}
 }
 
-// mergedStageLen is the stage-size hook for the merged small-set pass.
-func mergedStageLen(st *phaseState, s int) int { return len(st.mergeSets[s/2]) }
+// colorStageLen is the size of stage s of a colored sweep: the member count
+// of color set s/2.
+func colorStageLen(st *phaseState, s int) int { return len(st.colorSets[s/2]) }
 
 // decideSet records in prev the community each of members lo..hi-1 of one
 // color set moves to, and in within the move's delta (see decideLive),
@@ -691,39 +671,29 @@ func (st *phaseState) moveSet(set []int32) {
 	}
 }
 
-// colorMergeCutoff is the vertex count below which consecutive color sets
-// are folded into one staged pass (par.ForStagesCtx) instead of each paying
-// a full parallel-for fork/join per stage. Greedy colorings produce a long
-// tail of tiny sets — a few hundred vertices each — whose per-set barriers
-// cost more than their work; 2048 vertices is comfortably past the point
-// where the fork/join amortizes. Sets still execute serially in color order
-// with barriers between their stages (the moves of set k must be visible to
-// set k+1), they merely share one worker team.
-const colorMergeCutoff = 2048
-
 // sweepColored performs one full iteration over color sets: sets are
 // processed in order, and earlier sets' moves are visible to later ones
 // (§5.4 step 3). With one worker, the members of a set decide and move in
 // order, each seeing the moves before it (moveSet): that order is already
-// fixed, and the serving tiers' Workers(1) engines ran about a fifth slower
-// on the two-stage form below. With more workers, each set
-// runs in two stages with a barrier between them: its members decide in
-// parallel against curr and the aggregates as they stood when the set
-// began, recording their choices in prev, and then apply them. No two
-// members of a set are adjacent, so a member's move cannot change what
-// another member reads of curr; deciding before any member moves keeps the
-// aggregates still as well. A set's moves therefore do not depend on how
-// its members are scheduled, and with integer edge weights the applied
-// aggregates are exact: a colored sweep's outcome is the same on every run
-// for a given coloring and worker count. With non-integer weights and
-// several workers, the atomic float adds of the apply stage land in
-// scheduling order, as in an uncolored sweep's apply stage, and since no
-// refresh follows a colored sweep, their rounding carries through the phase.
+// fixed, and sending one worker through the stages below instead moved three
+// Workers(1) golden rows and made serve-cold's suite_s about 5% slower
+// (bench/run.sh, 5 alternating pairs, shared 2-vCPU host). With more
+// workers, the sweep runs on one worker team (par.ForStagesCtx), two stages
+// per set with a barrier after each: the set's members decide in parallel
+// against curr and the aggregates as they stood when the set began,
+// recording their choices in prev, and then apply them. No two members of a
+// set are adjacent, so a member's move cannot change what another member
+// reads of curr; deciding before any member moves keeps the aggregates still
+// as well. A set's moves therefore do not depend on how its members are
+// chunked, and with integer edge weights the applied aggregates are exact: a
+// colored sweep's outcome is the same on every run for a given coloring and
+// worker count. With non-integer weights and several workers, the atomic
+// float adds of the apply stage land in scheduling order, as in an uncolored
+// sweep's apply stage, and since no refresh follows a colored sweep, their
+// rounding carries through the phase.
 //
-// Within a set, decide chunks are balanced by member arc counts (prefix
-// sum over OutDegree into the pooled colorPrefix buffers). Runs of sets
-// smaller than colorMergeCutoff share one worker team via par.ForStagesCtx
-// (see the constant's comment).
+// A canceled run stops at the next color set with one worker; with more,
+// every remaining stage's chunks see the latched flag and return.
 //
 // The sweep starts from the aggregates in place, which must be curr's: the
 // phase's opening score leaves them so, and every colored sweep's moves keep
@@ -733,71 +703,16 @@ const colorMergeCutoff = 2048
 func (st *phaseState) sweepColored(sets [][]int32, workers int) {
 	if par.Workers(workers, st.g.N()) == 1 {
 		for _, set := range sets {
-			if st.stop() { // see the color-set barrier below
+			if st.stop() { // a canceled run abandons the remaining sets
 				break
 			}
 			st.moveSet(set)
 		}
 		return
 	}
-	if !st.prefixReady {
-		total := 0
-		for _, set := range sets {
-			total += len(set) + 1
-		}
-		buf := par.Resize(st.prefixBuf, total) // one backing array for all sets
-		st.prefixBuf = buf
-		prefixes := par.Resize(st.colorPrefix, len(sets))
-		st.colorPrefix = prefixes
-		off := 0
-		for si, set := range sets {
-			prefixes[si] = buf[off : off+len(set)+1]
-			off += len(set) + 1
-		}
-		// Each set's degree prefix is independent, so the O(n) fill runs
-		// one set per chunk item; the slicing above stays serial (it is
-		// O(sets) pointer arithmetic).
-		st.prefixSets = sets
-		par.ForChunkCtx(st, len(sets), workers, 1, func(st *phaseState, lo, hi int) {
-			for si := lo; si < hi; si++ {
-				set := st.prefixSets[si]
-				prefix := st.colorPrefix[si]
-				prefix[0] = 0
-				for t, v := range set {
-					prefix[t+1] = prefix[t] + int64(st.g.OutDegree(int(v)))
-				}
-			}
-		})
-		st.prefixSets = nil
-		st.prefixReady = true
-	}
-	for si := 0; si < len(sets); {
-		// Color-set boundaries are the natural barriers of a colored sweep;
-		// a canceled run abandons the remaining sets here (the owning
-		// runPhase observes the same flag and unwinds).
-		if st.stop() {
-			break
-		}
-		// Extend a run of consecutive small sets; a run of length ≥ 2 is
-		// worth merging into one staged pass.
-		sj := si
-		for sj < len(sets) && len(sets[sj]) < colorMergeCutoff {
-			sj++
-		}
-		if sj-si >= 2 {
-			st.mergeSets = sets[si:sj]
-			par.ForStagesCtx(st, 2*(sj-si), mergedStageLen, workers, sweepMergedStage)
-			st.mergeSets = nil
-			si = sj
-			continue
-		}
-		set := sets[si]
-		st.curSet = set
-		par.ForChunkPrefixCtx(st, st.colorPrefix[si], workers, decideColoredSet)
-		par.ForChunkCtx(st, len(set), workers, 0, applyColoredSet)
-		si++
-	}
-	st.curSet = nil
+	st.colorSets = sets
+	par.ForStagesCtx(st, 2*len(sets), colorStageLen, workers, colorStage)
+	st.colorSets = nil
 }
 
 // sweepAsync performs one full iteration of asynchronous live-state local

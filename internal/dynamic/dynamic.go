@@ -86,6 +86,10 @@ type Maintainer struct {
 	// FlushCtx applies it; meaningful only while pending is not empty.
 	pendingM2 float64
 	touched   map[int32]struct{}
+	// acc gathers a frontier vertex's neighbor-community weights in
+	// localOptimize; community ids are vertex ids, so grow keeps its
+	// universe at the vertex count.
+	acc *par.SparseAccum
 	// fullRun scratch, persistent across refreshes: the snapshot edge
 	// staging buffer and the engine's run target.
 	edgeBuf []graph.Edge
@@ -147,6 +151,7 @@ func newOverlay(g *graph.Graph, opts Options) *Maintainer {
 		degree:  make([]float64, n),
 		commDeg: make([]float64, n),
 		touched: make(map[int32]struct{}),
+		acc:     par.NewSparseAccum(n, g.MaxOutDegree()+1),
 	}
 	for i := 0; i < n; i++ {
 		nbr, wts := g.Neighbors(i)
@@ -343,6 +348,7 @@ func (m *Maintainer) grow(n int) {
 		m.comm = append(m.comm, id)
 		m.commDeg = append(m.commDeg, 0)
 	}
+	m.acc.Grow(n)
 }
 
 // localRounds is the number of local-move rounds per batch over the
@@ -375,22 +381,22 @@ func (m *Maintainer) localOptimize() {
 		for _, i := range frontier {
 			ci := m.comm[i]
 			ki := m.degree[i]
-			// Aggregate neighbor communities.
-			weights := make(map[int32]float64, len(m.adj[i]))
+			// Aggregate neighbor communities, ci first.
+			m.acc.Reset()
+			m.acc.Ensure(ci)
 			for j, w := range m.adj[i] {
 				if j == i {
 					continue
 				}
-				weights[m.comm[j]] += w
+				m.acc.Add(m.comm[j], w)
 			}
-			eOwn := weights[ci]
+			eOwn := m.acc.Val(ci)
 			aOwn := m.commDeg[ci] - ki
 			best, bestGain := ci, 0.0
-			for ct, e := range weights {
-				if ct == ci {
-					continue
-				}
-				gain := (e-eOwn)/mval + (2*ki*aOwn-2*ki*m.commDeg[ct])/(m.m2*m.m2)
+			// The pick is the largest gain, ties to the smaller label, so
+			// the candidates' order does not matter.
+			for _, ct := range m.acc.Keys()[1:] {
+				gain := (m.acc.Val(ct)-eOwn)/mval + (2*ki*aOwn-2*ki*m.commDeg[ct])/(m.m2*m.m2)
 				if gain > bestGain || (gain == bestGain && gain > 0 && ct < best) {
 					bestGain, best = gain, ct
 				}

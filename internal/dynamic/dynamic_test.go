@@ -393,6 +393,40 @@ func TestFullRunAllocsBounded(t *testing.T) {
 	}
 }
 
+// TestFlushAllocsBounded pins the pooled accumulator of localOptimize: a
+// frontier vertex gathers its neighbor communities on the maintainer's
+// SparseAccum, so a warm incremental flush allocates a few slices for the
+// batch (5 here), not a map per vertex visit (about 6,200). Re-adding the
+// same edges keeps the overlay's maps and the frontier the same from flush
+// to flush.
+func TestFlushAllocsBounded(t *testing.T) {
+	g := generate.MustGenerate(generate.RGG, generate.Small, 0, 1)
+	full := core.BaselineVFColor(1)
+	m, err := NewSeeded(g, core.NewEngine(full).Run(g).Membership, Options{Workers: 1, Full: full})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	edges := make([]graph.Edge, 64)
+	for i := range edges {
+		edges[i] = graph.Edge{U: int32(rng.IntN(g.N())), V: int32(rng.IntN(g.N())), W: 1}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, e := range edges {
+			if err := m.AddEdge(e.U, e.V, e.W); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Flush()
+	})
+	if m.FullRuns() != 0 {
+		t.Fatalf("the flushes ran %d full re-detections, want 0", m.FullRuns())
+	}
+	if allocs > 16 {
+		t.Fatalf("a warm incremental flush allocates %v times, want <= 16", allocs)
+	}
+}
+
 // TestBatchRepeats pins the streaming determinism contract: with integer
 // edge weights, a maintainer seeded from the same membership that applies
 // the same batch reaches the same Membership and Modularity bits on every

@@ -75,9 +75,6 @@ func (g *Graph) M() float64 { return g.totalW / 2 }
 // Degree returns the weighted degree k_i.
 func (g *Graph) Degree(i int) float64 { return g.degree[i] }
 
-// Degrees returns the full weighted-degree slice. Callers must not modify it.
-func (g *Graph) Degrees() []float64 { return g.degree }
-
 // OutDegree returns the unweighted number of stored neighbors of i
 // (self-loop counts once).
 func (g *Graph) OutDegree(i int) int { return int(g.offsets[i+1] - g.offsets[i]) }

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // InducedSubgraph extracts the subgraph induced by the given vertex set and
 // returns it with the old→new id mapping (-1 for excluded vertices).
@@ -35,45 +32,4 @@ func InducedSubgraph(g *Graph, vertices []int32, p int) (*Graph, []int32, error)
 		}
 	}
 	return b.Build(p), remap, nil
-}
-
-// CommunitySubgraph extracts the subgraph induced by community c of the
-// membership, returning the subgraph and the original ids of its vertices
-// in ascending order.
-func CommunitySubgraph(g *Graph, membership []int32, c int32, p int) (*Graph, []int32, error) {
-	if len(membership) != g.N() {
-		return nil, nil, fmt.Errorf("graph: membership length %d != n %d", len(membership), g.N())
-	}
-	var vertices []int32
-	for v, cv := range membership {
-		if cv == c {
-			vertices = append(vertices, int32(v))
-		}
-	}
-	if len(vertices) == 0 {
-		return nil, nil, fmt.Errorf("graph: community %d is empty", c)
-	}
-	sub, _, err := InducedSubgraph(g, vertices, p)
-	return sub, vertices, err
-}
-
-// DegreeHistogram returns the unweighted degree distribution as sorted
-// (degree, count) pairs — the data behind degree-distribution plots.
-type DegreeBucket struct {
-	Degree int
-	Count  int
-}
-
-// DegreeHistogram computes the degree histogram of g.
-func DegreeHistogram(g *Graph) []DegreeBucket {
-	counts := make(map[int]int)
-	for i := 0; i < g.N(); i++ {
-		counts[g.OutDegree(i)]++
-	}
-	out := make([]DegreeBucket, 0, len(counts))
-	for d, c := range counts {
-		out = append(out, DegreeBucket{Degree: d, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Degree < out[j].Degree })
-	return out
 }

@@ -44,55 +44,3 @@ func TestInducedSubgraphErrors(t *testing.T) {
 		t.Fatalf("empty selection: %v", err)
 	}
 }
-
-func TestCommunitySubgraph(t *testing.T) {
-	// Two triangles joined by one edge; membership by triangle.
-	b := NewBuilder(6)
-	b.AddEdge(0, 1, 1)
-	b.AddEdge(1, 2, 1)
-	b.AddEdge(0, 2, 1)
-	b.AddEdge(3, 4, 1)
-	b.AddEdge(4, 5, 1)
-	b.AddEdge(3, 5, 1)
-	b.AddEdge(2, 3, 1)
-	g := b.Build(2)
-	membership := []int32{0, 0, 0, 1, 1, 1}
-	sub, ids, err := CommunitySubgraph(g, membership, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.N() != 3 || sub.EdgeCount() != 3 {
-		t.Fatalf("n=%d m=%d", sub.N(), sub.EdgeCount())
-	}
-	want := []int32{3, 4, 5}
-	for i, id := range ids {
-		if id != want[i] {
-			t.Fatalf("ids %v want %v", ids, want)
-		}
-	}
-	if _, _, err := CommunitySubgraph(g, membership, 9, 1); err == nil {
-		t.Fatal("want empty-community error")
-	}
-	if _, _, err := CommunitySubgraph(g, []int32{0}, 0, 1); err == nil {
-		t.Fatal("want length error")
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	// Star with 4 leaves: center degree 4, leaves degree 1.
-	b := NewBuilder(5)
-	for i := 1; i <= 4; i++ {
-		b.AddEdge(0, int32(i), 1)
-	}
-	g := b.Build(1)
-	h := DegreeHistogram(g)
-	if len(h) != 2 {
-		t.Fatalf("%v", h)
-	}
-	if h[0].Degree != 1 || h[0].Count != 4 || h[1].Degree != 4 || h[1].Count != 1 {
-		t.Fatalf("%v", h)
-	}
-	if got := DegreeHistogram(NewBuilder(0).Build(1)); len(got) != 0 {
-		t.Fatalf("empty graph histogram %v", got)
-	}
-}

@@ -70,9 +70,6 @@ type Options struct {
 	// pins the paper's §6.1 policy, scaled to the suite.
 	ColoringCutoff   int
 	ColoredThreshold float64
-	// MaxPhases/MaxIterations bound runaway experiments (0 = unlimited).
-	MaxPhases     int
-	MaxIterations int
 }
 
 // coreOptions translates harness options into core options for a scheme.
@@ -96,8 +93,6 @@ func (o Options) coreOptions(s Scheme) core.Options {
 	if o.ColoredThreshold > 0 {
 		c.ColoredThreshold = o.ColoredThreshold
 	}
-	c.MaxPhases = o.MaxPhases
-	c.MaxIterations = o.MaxIterations
 	return c
 }
 
@@ -129,10 +124,7 @@ func RunScheme(g *graph.Graph, s Scheme, o Options) RunStats {
 	start := time.Now()
 	switch s {
 	case Serial:
-		res := seq.Run(g, seq.Options{
-			MaxIterations: o.MaxIterations,
-			MaxPhases:     o.MaxPhases,
-		})
+		res := seq.Run(g, seq.Options{})
 		rs := RunStats{
 			Scheme:     s,
 			Modularity: res.Modularity,

@@ -102,21 +102,18 @@ func TestSparseAccumGrowPreservesEpoch(t *testing.T) {
 
 func TestReductionsSingleWorkerFastPath(t *testing.T) {
 	n := 1000
-	f := func(i int) float64 { return float64(i) }
-	want := SumFloat64(n, 4, f)
-	if got := SumFloat64(n, 1, f); got != want {
-		t.Fatalf("SumFloat64 p=1 %v != p=4 %v", got, want)
+	f := func(_ struct{}, i int) float64 { return float64(i) }
+	mod37 := func(_ struct{}, i int) int64 { return int64(i % 37) }
+	want := SumFloat64Ctx(struct{}{}, n, 4, f)
+	if got := SumFloat64Ctx(struct{}{}, n, 1, f); got != want {
+		t.Fatalf("SumFloat64Ctx p=1 %v != p=4 %v", got, want)
 	}
-	if got := SumInt64(n, 1, func(i int) int64 { return int64(i) }); got != int64(n*(n-1)/2) {
-		t.Fatalf("SumInt64 p=1 = %d", got)
-	}
-	if got := MaxInt64(n, 1, func(i int) int64 { return int64(i % 37) }); got != 36 {
-		t.Fatalf("MaxInt64 p=1 = %d, want 36", got)
+	if got := MaxInt64Ctx(struct{}{}, n, 1, mod37); got != 36 {
+		t.Fatalf("MaxInt64Ctx p=1 = %d, want 36", got)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		_ = SumFloat64(n, 1, f)
-		_ = SumInt64(n, 1, func(i int) int64 { return int64(i) })
-		_ = MaxInt64(n, 1, func(i int) int64 { return int64(i) })
+		_ = SumFloat64Ctx(struct{}{}, n, 1, f)
+		_ = MaxInt64Ctx(struct{}{}, n, 1, mod37)
 	})
 	if allocs != 0 {
 		t.Fatalf("single-worker reductions allocate %v times, want 0", allocs)

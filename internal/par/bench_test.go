@@ -43,7 +43,7 @@ func BenchmarkSumFloat64(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = SumFloat64(n, 0, func(i int) float64 { return v[i] })
+		_ = SumFloat64Ctx(v, n, 0, func(v []float64, i int) float64 { return v[i] })
 	}
 }
 

@@ -34,19 +34,6 @@ func normWorkers(p, n int) int {
 	return p
 }
 
-// For runs body(i) for every i in [0, n) using p workers. Iterations are
-// distributed in contiguous blocks computed from a shared atomic cursor with
-// a grain size that amortizes the cursor contention; this mirrors OpenMP's
-// "schedule(dynamic, grain)" which the paper's irregular sweeps need (vertex
-// costs are proportional to degree and highly skewed on several inputs).
-func For(n, p int, body func(i int)) {
-	ForChunk(n, p, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
-}
-
 // ForChunk runs body(lo, hi) over disjoint chunks covering [0, n) using p
 // workers. grain is the chunk size; grain <= 0 selects a size that yields
 // roughly 8 chunks per worker, a reasonable balance between scheduling
@@ -274,16 +261,11 @@ func ForStaticCtx[C any](ctx C, n, p int, body func(ctx C, worker, lo, hi int)) 
 	wg.Wait()
 }
 
-// SumFloat64 computes the sum of f(i) over [0, n) in parallel with a
-// deterministic reduction order (per-worker partials combined in worker
-// order), so results are reproducible for a fixed p.
-func SumFloat64(n, p int, f func(i int) float64) float64 {
-	return SumFloat64Ctx(f, n, p, func(f func(i int) float64, i int) float64 { return f(i) })
-}
-
-// SumFloat64Ctx is SumFloat64 with an explicit context value (see
-// ForChunkWorkerCtx for why: captureless bodies make single-worker calls
-// allocation-free).
+// SumFloat64Ctx computes the sum of f(ctx, i) over [0, n) in parallel with
+// a deterministic reduction order (per-worker partials combined in worker
+// order), so results are reproducible for a fixed p. ctx is threaded into
+// f instead of captured by it (see ForChunkWorkerCtx for why: captureless
+// bodies make single-worker calls allocation-free).
 func SumFloat64Ctx[C any](ctx C, n, p int, f func(ctx C, i int) float64) float64 {
 	p = normWorkers(p, n)
 	if p == 1 {
@@ -312,40 +294,8 @@ func SumFloat64Ctx[C any](ctx C, n, p int, f func(ctx C, i int) float64) float64
 	return total
 }
 
-// SumInt64 is the integer analog of SumFloat64.
-func SumInt64(n, p int, f func(i int) int64) int64 {
-	p = normWorkers(p, n)
-	if p == 1 {
-		var s int64
-		for i := 0; i < n; i++ {
-			s += f(i)
-		}
-		return s
-	}
-	partials := make([]int64, p)
-	ForStatic(n, p, func(w, lo, hi int) {
-		var s int64
-		for i := lo; i < hi; i++ {
-			s += f(i)
-		}
-		partials[w] = s
-	})
-	var total int64
-	for _, s := range partials {
-		total += s
-	}
-	return total
-}
-
-// MaxInt64 computes the maximum of f(i) over [0, n) in parallel. It returns
-// 0 for n == 0.
-func MaxInt64(n, p int, f func(i int) int64) int64 {
-	return MaxInt64Ctx(f, n, p, func(f func(i int) int64, i int) int64 { return f(i) })
-}
-
-// MaxInt64Ctx is MaxInt64 with an explicit context value (see
-// ForChunkWorkerCtx for why: captureless bodies make single-worker calls
-// allocation-free).
+// MaxInt64Ctx computes the maximum of f(ctx, i) over [0, n) in parallel. It
+// returns 0 for n == 0. ctx is threaded into f as in SumFloat64Ctx.
 func MaxInt64Ctx[C any](ctx C, n, p int, f func(ctx C, i int) int64) int64 {
 	return maxCtx(ctx, n, p, f)
 }

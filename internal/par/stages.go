@@ -8,13 +8,13 @@ import (
 
 // ForStagesCtx runs a SEQUENCE of dynamically-chunked parallel loops — one
 // per stage, stage s covering [0, count(ctx, s)) — on a single worker team
-// with a barrier between consecutive stages. It exists for runs of small
-// color sets in the colored sweep: each set must fully complete before the
-// next starts (its moves must be visible), but paying a full fork/join —
-// goroutine spawns, closure setup, WaitGroup — per tiny set costs more than
-// the set's own work. One team amortizes that setup across the whole run of
-// stages; only the barrier (an atomic arrival count plus a release epoch)
-// separates them.
+// with a barrier between consecutive stages. It runs every colored sweep at
+// two or more workers, two stages per color set: each stage must fully
+// complete before the next starts (a set's moves must be visible to the
+// next), but paying a full fork/join — goroutine spawns, closure setup,
+// WaitGroup — per stage costs more than the work of a small set. One team
+// amortizes that setup across the whole sweep; only the barrier (an atomic
+// arrival count plus a release epoch) separates the stages.
 //
 // The barrier is sense-reversing in epoch form: workers finishing stage s
 // publish their arrival; the LAST arriver resets the shared chunk cursor

@@ -66,8 +66,7 @@ func TestForStagesCtxNoStages(t *testing.T) {
 
 // TestForStagesCtxSingleWorkerZeroAlloc pins the captureless-body contract
 // shared by every ...Ctx form: one effective worker runs the stages inline
-// without allocating, which is what keeps merged small color sets inside
-// the engine's warm-run zero-alloc envelope.
+// without allocating.
 func TestForStagesCtxSingleWorkerZeroAlloc(t *testing.T) {
 	counts := []int{64, 3, 9}
 	c := &stagesTestCtx{counts: counts}

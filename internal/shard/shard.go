@@ -33,7 +33,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"grappolo/internal/core"
 	"grappolo/internal/graph"
@@ -103,11 +102,6 @@ type Result struct {
 	// round; MergeIterations counts the master run's iterations.
 	LocalIterations int
 	MergeIterations int
-	// Timings of the pipeline stages. LocalTime is the wall time of the
-	// slowest shard summed across rounds (the makespan of each round).
-	PartitionTime time.Duration
-	LocalTime     time.Duration
-	MergeTime     time.Duration
 }
 
 // shardState is one shard's working set, reused across exchange rounds.
@@ -155,7 +149,6 @@ func Run(ctx context.Context, g *graph.Graph, opts Options, src Engines) (*Resul
 
 	// 1. Partition + ghost-subgraph extraction (one goroutine per shard —
 	// extraction is embarrassingly parallel across shards).
-	start := time.Now()
 	part, verts, err := partition(g, shards, opts.Mode)
 	if err != nil {
 		return nil, err
@@ -192,7 +185,6 @@ func Run(ctx context.Context, g *graph.Graph, opts Options, src Engines) (*Resul
 		}
 	}
 	res.CutEdges = countCutEdges(g, part, opts.Workers)
-	res.PartitionTime = time.Since(start)
 
 	// 2. Synchronized local rounds with ghost-label exchange. labels holds
 	// the global community label of every vertex (initially singleton ids);
@@ -209,7 +201,6 @@ func Run(ctx context.Context, g *graph.Graph, opts Options, src Engines) (*Resul
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		roundStart := time.Now()
 		var changed atomic.Int64
 		var panicked atomic.Value
 		for s := 0; s < shards; s++ {
@@ -235,7 +226,6 @@ func Run(ctx context.Context, g *graph.Graph, opts Options, src Engines) (*Resul
 			// serving layers' quarantine semantics (Guard recovery) apply.
 			panic(v)
 		}
-		res.LocalTime += time.Since(roundStart)
 		for _, err := range errs {
 			if err != nil {
 				return nil, err
@@ -255,7 +245,6 @@ func Run(ctx context.Context, g *graph.Graph, opts Options, src Engines) (*Resul
 	// edges now aggregated into real meta-edges) and re-cluster the coarse
 	// graph with a complete engine run — the step that recovers the quality
 	// a partitioned local phase leaves on the table.
-	start = time.Now()
 	dense, numGlobal := renumber(labels)
 	coarse := seq.Coarsen(g, dense, numGlobal)
 	eng, release, err := src.Acquire(ctx, coarse.N())
@@ -278,7 +267,6 @@ func Run(ctx context.Context, g *graph.Graph, opts Options, src Engines) (*Resul
 			c.out[v] = c.master[c.dense[v]]
 		}
 	})
-	res.MergeTime = time.Since(start)
 	res.MergeIterations = mres.TotalIterations
 	res.NumCommunities = mres.NumCommunities
 	// Modularity is invariant under the coarsening convention, so the master

@@ -191,28 +191,6 @@ func CPM(gamma float64) Option {
 	}
 }
 
-// MaxIterations caps iterations per phase (0 = unlimited).
-func MaxIterations(n int) Option {
-	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("grappolo: negative MaxIterations %d", n)
-		}
-		c.opts.MaxIterations = n
-		return nil
-	}
-}
-
-// MaxPhases caps the number of phases (0 = unlimited).
-func MaxPhases(n int) Option {
-	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("grappolo: negative MaxPhases %d", n)
-		}
-		c.opts.MaxPhases = n
-		return nil
-	}
-}
-
 // KeepHierarchy records the original-vertex community assignment after each
 // phase in Result.Levels — the dendrogram the Louvain method produces.
 func KeepHierarchy() Option {

@@ -18,13 +18,13 @@ import (
 // Cache serves repeated detections of the same graph once: concurrent
 // identical misses share ONE backend run (coalescing in flight), and a TTL
 // + LRU result store serves later repeats with no run at all (caching
-// across time). It is keyed by the graph's content identity and the
-// backend's exact engine options, and composes as a Detecter in front of a
-// Pool or Sharded backend (and behind a Guard). Duplicate traffic —
-// dashboard refreshes, retries, many tenants asking about the same public
-// dataset — is the common overload shape for a clustering service; a warm
-// hit into a recycled Result performs zero allocations, the same gate
-// discipline as the rest of the serving stack.
+// across time). It is keyed by the graph's content identity alone — a
+// Cache serves one backend, whose engine options never change — and
+// composes as a Detecter in front of a Pool or Sharded backend (and behind
+// a Guard). Duplicate traffic — dashboard refreshes, retries, many tenants
+// asking about the same public dataset — is the common overload shape for
+// a clustering service; a warm hit into a recycled Result performs zero
+// allocations, the same gate discipline as the rest of the serving stack.
 //
 // Coalescing: a miss either joins a concurrent miss for the same content
 // as a FOLLOWER or LEADS it. The leader resolves the miss (delta tier or
@@ -39,13 +39,15 @@ import (
 // followers with an error matching ErrEngineFault, and the panic continues
 // through the leader.
 //
-// Correctness: lookups are keyed by the cheap sampled graph.Fingerprint,
-// but no result is ever shared, served or displaced on that evidence alone
-// — every match is confirmed against the graph's exact full-content
-// StrongHash, computed once per immutable Graph and memoized on it. Two
-// requests share a run only when both hashes agree, so a sampled-hash
-// collision leads its own run, and a stored entry is never served to a
-// colliding graph (counted in CacheStats.Rejected).
+// Correctness: the store and the in-flight table are both keyed by
+// graph.Fingerprint — the exact vertex count, arc count and total-weight
+// bits plus the full-content StrongHash, computed once per immutable Graph
+// and memoized on it. A request is served an entry, or joins a run, only
+// when all four agree, so a served membership always has the request's
+// length, and graphs of the same shape but different content each lead
+// their own run and keep their own entry. A Graph never changes, so an
+// entry never goes stale: a Stream works on its own copy of its seed, and
+// its live graph is a different graph with a different fingerprint.
 //
 // Delta tier (DeltaEdits): a miss whose fingerprint shape (vertex count,
 // arc count, total weight) is within the configured edit budget of a cached
@@ -70,10 +72,9 @@ type Cache struct {
 	backend Detecter
 	pool    *Pool
 	store   *rescache.Store
-	opts    core.Options
 
 	mu       sync.Mutex
-	inflight map[runKey]*run
+	inflight map[graph.Fingerprint]*run
 	free     *run // recycled run records
 
 	joins     atomic.Int64 // followers attached (test observability)
@@ -85,19 +86,13 @@ type Cache struct {
 // and Coalesced counts the misses served by another request's run.
 type CacheStats = rescache.Stats
 
-// runKey identifies an in-flight miss by the graph's exact content.
-type runKey struct {
-	fp     graph.Fingerprint
-	strong uint64
-}
-
 // run is one in-flight miss. Its mutex guards the follower list and the
 // sealed flag; the Cache mutex guards only the in-flight table and the free
 // list, and the two are nested only table-side (c.mu → r.mu) when a
 // recycled record is armed.
 type run struct {
 	mu        sync.Mutex
-	key       runKey
+	key       graph.Fingerprint
 	sealed    bool // no more joiners; set when the outcome is fanned out (and while free-listed)
 	followers []*follower
 	next      *run // Cache free list
@@ -221,8 +216,7 @@ func NewCache(backend Detecter, copts ...CacheOption) (*Cache, error) {
 		backend:  backend,
 		pool:     pool,
 		store:    store,
-		opts:     pool.opts,
-		inflight: make(map[runKey]*run),
+		inflight: make(map[graph.Fingerprint]*run),
 	}, nil
 }
 
@@ -241,28 +235,11 @@ func (c *Cache) Stats() CacheStats {
 	return s
 }
 
-// Len returns the resident entry count.
-func (c *Cache) Len() int { return c.store.Len() }
-
-// Invalidate drops the cached entry for g's content, if resident — the hook
-// streaming overlays use: once a NewStream seeded from g applies a batch,
-// results detected for g no longer describe the live graph. Reports whether
-// an entry was dropped.
-func (c *Cache) Invalidate(g *Graph) bool {
-	if checkGraph(g) != nil {
-		return false
-	}
-	return c.store.Remove(rescache.Key{FP: g.Fingerprint(), Opts: c.opts})
-}
-
-// InvalidateAll drops every entry and returns how many were resident.
-func (c *Cache) InvalidateAll() int { return c.store.Clear() }
-
 // Detect runs detection on g, serving from the cache when its exact content
-// (and the backend's options) match a live entry, joining an identical
-// miss already in flight, routing small edits incrementally when
-// DeltaEdits is enabled, and falling through to the backend otherwise. The
-// Result is always a fresh copy independent of the cache.
+// matches a live entry, joining an identical miss already in flight,
+// routing small edits incrementally when DeltaEdits is enabled, and falling
+// through to the backend otherwise. The Result is always a fresh copy
+// independent of the cache.
 func (c *Cache) Detect(ctx context.Context, g *Graph) (*Result, error) {
 	return c.DetectInto(ctx, g, nil)
 }
@@ -282,26 +259,24 @@ func (c *Cache) DetectInto(ctx context.Context, g *Graph, res *Result) (*Result,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Both hashes are memoized on the Graph, so a warm loop — even one
-	// alternating between several resident graphs — pays two atomic loads
-	// here, no hashing and no allocation.
-	key := rescache.Key{FP: g.Fingerprint(), Opts: c.opts}
-	strong := g.StrongHash()
-	if cached, ok := c.store.Get(key, strong); ok {
+	// The fingerprint's hash is memoized on the Graph, so a warm loop —
+	// even one alternating between several resident graphs — pays one
+	// atomic load here, no hashing and no allocation.
+	fp := g.Fingerprint()
+	if cached, ok := c.store.Get(fp); ok {
 		return core.CopyResultInto(res, cached), nil
 	}
-	rk := runKey{fp: key.FP, strong: strong}
 	for {
 		c.mu.Lock()
-		r := c.inflight[rk]
+		r := c.inflight[fp]
 		if r == nil {
-			r = c.takeRun(rk)
-			c.inflight[rk] = r
+			r = c.takeRun(fp)
+			c.inflight[fp] = r
 			c.mu.Unlock()
-			return c.lead(ctx, g, key, strong, r, res)
+			return c.lead(ctx, g, r, res)
 		}
 		c.mu.Unlock()
-		out, err, retry := c.follow(ctx, r, rk, res)
+		out, err, retry := c.follow(ctx, r, fp, res)
 		if !retry {
 			return out, err
 		}
@@ -318,7 +293,7 @@ func (c *Cache) DetectInto(ctx context.Context, g *Graph, res *Result) (*Result,
 // takeRun pops a recycled run record (or allocates one) and arms it for
 // key. Caller holds c.mu; the nested r.mu acquisition (c.mu → r.mu) is
 // safe because no code path holds r.mu while taking c.mu.
-func (c *Cache) takeRun(key runKey) *run {
+func (c *Cache) takeRun(key graph.Fingerprint) *run {
 	r := c.free
 	if r == nil {
 		r = &run{}
@@ -339,7 +314,7 @@ func (c *Cache) takeRun(key runKey) *run {
 // lead resolves the miss, publishes the result to the store, and fans it
 // out to r's followers. Followers copy from the leader's own result before
 // lead returns, so no shared result outlives the run.
-func (c *Cache) lead(ctx context.Context, g *Graph, key rescache.Key, strong uint64, r *run, res *Result) (*Result, error) {
+func (c *Cache) lead(ctx context.Context, g *Graph, r *run, res *Result) (*Result, error) {
 	completed := false
 	defer func() {
 		if !completed {
@@ -351,7 +326,7 @@ func (c *Cache) lead(ctx context.Context, g *Graph, key rescache.Key, strong uin
 		}
 	}()
 	faults.Maybe(faults.CacheLead)
-	out, err := c.resolve(ctx, g, key, strong, res)
+	out, err := c.resolve(ctx, g, res)
 	completed = true
 	// A leader whose own context failed the run fans that error out, and
 	// its followers retry under their own contexts.
@@ -362,8 +337,8 @@ func (c *Cache) lead(ctx context.Context, g *Graph, key rescache.Key, strong uin
 
 // resolve serves a miss: onto a cached maintainer when the delta tier
 // routes it, else by a backend run whose result is admitted to the store.
-func (c *Cache) resolve(ctx context.Context, g *Graph, key rescache.Key, strong uint64, res *Result) (*Result, error) {
-	if out, handled, err := c.store.DeltaDetect(ctx, key, g, strong); handled {
+func (c *Cache) resolve(ctx context.Context, g *Graph, res *Result) (*Result, error) {
+	if out, handled, err := c.store.DeltaDetect(ctx, g); handled {
 		if err != nil {
 			return nil, err
 		}
@@ -375,7 +350,7 @@ func (c *Cache) resolve(ctx context.Context, g *Graph, key rescache.Key, strong 
 	}
 	// The store needs a private copy; skip building one it would refuse.
 	if c.store.Admits(g, out) {
-		c.store.Put(key, strong, g, core.CopyResultInto(nil, out), nil)
+		c.store.Put(g, core.CopyResultInto(nil, out), nil)
 	}
 	return out, nil
 }
@@ -428,7 +403,7 @@ func (c *Cache) recycle(r *run) {
 // follow joins the in-flight run r and waits for its outcome or ctx. retry
 // means r ended without a result for this request and the caller should
 // re-resolve.
-func (c *Cache) follow(ctx context.Context, r *run, key runKey, res *Result) (out *Result, err error, retry bool) {
+func (c *Cache) follow(ctx context.Context, r *run, key graph.Fingerprint, res *Result) (out *Result, err error, retry bool) {
 	f := &follower{ready: make(chan struct{}, 1), res: res}
 	r.mu.Lock()
 	if r.sealed || r.key != key {

@@ -248,15 +248,16 @@ func TestCacheFollowerAllocsBounded(t *testing.T) {
 }
 
 // BenchmarkCacheDetect compares the serving tiers the cache layers over a
-// pool: cold (every request invalidated first — the uncached baseline plus
-// admission overhead), hit (exact repeat served by copy-out), and delta (a
-// small perturbation routed onto the seeded incremental maintainer instead
-// of a cold run). hit/cold is the caching win; delta sits between them and
-// is the paper's real-time future-work item as a serving fast path. Under
-// duplicate concurrent load, uncoalesced (each request runs privately on a
-// bare Pool) against coalesced (a retain-nothing Cache in front of the same
-// pool: concurrent requesters share runs, nothing is served from memory)
-// is the in-flight coalescing win.
+// pool: cold (the entry is dropped before every request — the uncached
+// baseline plus admission overhead), hit (exact repeat served by
+// copy-out), and delta (a small perturbation routed onto the seeded
+// incremental maintainer instead of a cold run). hit/cold is the caching
+// win; delta sits between them and is the paper's real-time future-work
+// item as a serving fast path. Under duplicate concurrent load,
+// uncoalesced (each request runs privately on a bare Pool) against
+// coalesced (a retain-nothing Cache in front of the same pool: concurrent
+// requesters share runs, nothing is served from memory) is the in-flight
+// coalescing win.
 func BenchmarkCacheDetect(b *testing.B) {
 	g := generate.MustGenerate(generate.RGG, generate.ScaleFromEnv(), 0, 0)
 	onePool := func(b *testing.B, copts ...grappolo.CacheOption) *grappolo.Cache {
@@ -277,7 +278,7 @@ func BenchmarkCacheDetect(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.InvalidateAll()
+			c.Forget(g)
 			if res, err = c.DetectInto(ctx, g, res); err != nil {
 				b.Fatal(err)
 			}
@@ -301,7 +302,7 @@ func BenchmarkCacheDetect(b *testing.B) {
 	b.Run("delta", func(b *testing.B) {
 		c := onePool(b, grappolo.DeltaEdits(8))
 		// A two-edge perturbation of g: within the edit budget, so every
-		// iteration (after invalidating the variant's own entry) re-routes
+		// iteration (after dropping the variant's own entry) re-routes
 		// the diff onto a maintainer seeded from the base entry.
 		n := int32(g.N())
 		var edges []grappolo.Edge
@@ -330,7 +331,7 @@ func BenchmarkCacheDetect(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.Invalidate(variant)
+			c.Forget(variant)
 			if res, err = c.DetectInto(ctx, variant, res); err != nil {
 				b.Fatal(err)
 			}

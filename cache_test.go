@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +13,6 @@ import (
 	"grappolo"
 	"grappolo/internal/core"
 	"grappolo/internal/generate"
-	igraph "grappolo/internal/graph"
 )
 
 // ringEdges returns a weighted ring C_n whose edge weights are seeded, so
@@ -184,51 +184,73 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestCacheCollisionNeverCrossServed drives a crafted pair of graphs with
-// IDENTICAL sampled fingerprints but different content through one cache:
-// the exact strong-hash admission check must refuse to serve either graph
-// the other's result.
-func TestCacheCollisionNeverCrossServed(t *testing.T) {
-	c, pool := newCachedPool(t)
-	gA, gB := igraph.CollidingRingPair(100)
-	if gA.Fingerprint() != gB.Fingerprint() {
-		t.Fatal("test precondition: sampled fingerprints must collide")
+// sameShapeRings returns two n-vertex unit-weight rings that agree on
+// vertex count, arc count and total weight but differ in content: edges
+// {2, 3} and {6, 7} weigh 2 and 3 in the first and 3 and 2 in the second.
+func sameShapeRings(n int) (*grappolo.Graph, *grappolo.Graph) {
+	build := func(w23, w67 float64) *grappolo.Graph {
+		edges := make([]grappolo.Edge, n)
+		for i := range edges {
+			edges[i] = grappolo.Edge{U: int32(i), V: int32((i + 1) % n), W: 1}
+		}
+		edges[2].W, edges[6].W = w23, w67
+		return grappolo.FromEdges(n, edges, 1)
 	}
-	if gA.StrongHash() == gB.StrongHash() {
-		t.Fatal("test precondition: strong hashes must differ")
-	}
-	ctx := context.Background()
-	if _, err := c.Detect(ctx, gA); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Detect(ctx, gB); err != nil {
-		t.Fatal(err)
-	}
-	s := c.Stats()
-	if s.Hits != 0 || s.Misses != 2 {
-		t.Errorf("stats = %+v: the collision must be a miss, never a hit", s)
-	}
-	if s.Rejected == 0 {
-		t.Error("Rejected = 0, want the strong-hash refusals counted")
-	}
-	if pool.Stats().Led != 2 {
-		t.Errorf("Led = %d, want 2 (each graph runs its own detection)", pool.Stats().Led)
-	}
-	// The incumbent keeps its slot and keeps serving exactly.
-	if _, err := c.Detect(ctx, gA); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats().Hits; got != 1 {
-		t.Errorf("incumbent no longer served after collision: hits = %d, want 1", got)
+	return build(2, 3), build(3, 2)
+}
+
+// checkSameShape fails the test unless gA and gB share vertex count, arc
+// count and total weight while their contents differ.
+func checkSameShape(t *testing.T, gA, gB *grappolo.Graph) {
+	t.Helper()
+	a, b := gA.Fingerprint(), gB.Fingerprint()
+	if a.N != b.N || a.Arcs != b.Arcs || a.WBits != b.WBits || a.Hash == b.Hash {
+		t.Fatalf("test precondition: want one shape, two contents\n%+v\n%+v", a, b)
 	}
 }
 
-// TestCacheCollisionLeadsOwnRun pins the in-flight side of the same
-// guarantee: a miss whose graph collides with an in-flight leader's
-// sampled fingerprint leads its own run — two leaders queue, no follower
-// joins — and is never handed the leader's result.
-func TestCacheCollisionLeadsOwnRun(t *testing.T) {
-	gA, gB := igraph.CollidingRingPair(100)
+// TestCacheSameShapeNeverCrossServed drives two graphs of the same shape
+// but different content through one cache: each misses once and stays
+// resident, and each is then a hit equal to its own cold run — neither is
+// ever served the other's result.
+func TestCacheSameShapeNeverCrossServed(t *testing.T) {
+	gA, gB := sameShapeRings(100)
+	checkSameShape(t, gA, gB)
+	c, pool := newCachedPool(t)
+	ctx := context.Background()
+	for _, g := range []*grappolo.Graph{gA, gB} {
+		if _, err := c.Detect(ctx, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := c.Stats(); s.Hits != 0 || s.Misses != 2 || s.Entries != 2 {
+		t.Errorf("stats = %+v, want 2 misses and both graphs resident", s)
+	}
+	for _, tc := range []struct {
+		tag string
+		g   *grappolo.Graph
+	}{{"graph A", gA}, {"graph B", gB}} {
+		res, err := c.Detect(ctx, tc.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustMatch(t, tc.tag, res, core.Run(tc.g, core.Options{Workers: 1}))
+	}
+	if s := c.Stats(); s.Hits != 2 {
+		t.Errorf("hits = %d, want 2 (each graph served its own entry)", s.Hits)
+	}
+	if pool.Stats().Led != 2 {
+		t.Errorf("Led = %d, want 2 (one cold run per graph)", pool.Stats().Led)
+	}
+}
+
+// TestCacheSameShapeLeadsOwnRun pins the in-flight side of the same
+// guarantee: a miss whose graph has the shape of an in-flight leader's
+// graph but other content leads its own run — two leaders queue, no
+// follower joins — and is never handed the leader's result.
+func TestCacheSameShapeLeadsOwnRun(t *testing.T) {
+	gA, gB := sameShapeRings(100)
+	checkSameShape(t, gA, gB)
 	wantA := core.Run(gA, core.Options{Workers: 1})
 	wantB := core.Run(gB, core.Options{Workers: 1})
 	c, pool := newCachedPool(t)
@@ -259,7 +281,7 @@ func TestCacheCollisionLeadsOwnRun(t *testing.T) {
 	pool.ReleaseEnginePermit()
 	wg.Wait()
 	if c.JoinedFollowers() != 0 {
-		t.Errorf("colliding request attached as a follower (joins=%d)", c.JoinedFollowers())
+		t.Errorf("same-shape request attached as a follower (joins=%d)", c.JoinedFollowers())
 	}
 	if pool.Stats().Led != 2 {
 		t.Errorf("Led = %d, want 2 separate engine runs", pool.Stats().Led)
@@ -518,47 +540,66 @@ func TestCacheRaceStress(t *testing.T) {
 	}
 }
 
-// TestStreamInvalidatesCache pins the NewStream-overlay invalidation hook:
-// once a stream seeded from g applies a batch, the OnApply callback drops
-// g's cache entry, so the next Detect re-runs instead of serving a result
-// that no longer describes the live stream.
-func TestStreamInvalidatesCache(t *testing.T) {
-	c, pool := newCachedPool(t)
+// TestSeedGraphOutlivesStreamAndDelta pins the invariant that lets the
+// Cache keep its entries with no invalidation: a Graph never changes.
+// Neither a Stream seeded from a cached graph nor a delta-routed edit of
+// it writes to it, so afterwards the graph is still a hit, served the
+// result it was first detected with, and every row of it is as it was.
+func TestSeedGraphOutlivesStreamAndDelta(t *testing.T) {
+	c, pool := newCachedPool(t, grappolo.DeltaEdits(8))
 	seed := grappolo.FromEdges(10, cliquePairEdges(), 1)
+	adj := make([][]int32, seed.N())
+	wts := make([][]float64, seed.N())
+	for i := range adj {
+		a, w := seed.Neighbors(i)
+		adj[i], wts[i] = slices.Clone(a), slices.Clone(w)
+	}
 	ctx := context.Background()
-	if _, err := c.Detect(ctx, seed); err != nil {
+	first, err := c.Detect(ctx, seed)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("entries = %d, want 1", c.Len())
-	}
+
 	s, err := grappolo.NewStream(seed, []grappolo.Option{grappolo.Workers(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fired := 0
-	s.OnApply(func() {
-		fired++
-		c.Invalidate(seed)
-	})
 	if err := s.AddEdge(0, 7, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if fired == 0 {
-		t.Fatal("OnApply hook never fired")
+	if s.BatchApplies() != 1 {
+		t.Fatalf("BatchApplies = %d, want the edge applied in 1 batch", s.BatchApplies())
 	}
-	if c.Len() != 0 {
-		t.Fatalf("entries = %d after overlay drift, want 0", c.Len())
-	}
+
+	edit := grappolo.FromEdges(10, append(cliquePairEdges(), grappolo.Edge{U: 0, V: 7, W: 1}), 1)
 	led := pool.Stats().Led
-	if _, err := c.Detect(ctx, seed); err != nil {
+	routed, err := c.Detect(ctx, edit)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if pool.Stats().Led != led+1 {
-		t.Error("post-invalidation Detect must re-run the engine")
+	if !routed.Incremental || pool.Stats().Led != led {
+		t.Fatalf("edit of seed was not delta-routed (Incremental %v, Led %d -> %d)",
+			routed.Incremental, led, pool.Stats().Led)
+	}
+
+	hits := c.Stats().Hits
+	again, err := c.Detect(ctx, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pool.Stats().Led != led || c.Stats().Hits != hits+1 {
+		t.Errorf("seed was not a hit after the stream and the delta (Led %d -> %d, hits %d -> %d)",
+			led, pool.Stats().Led, hits, c.Stats().Hits)
+	}
+	mustMatch(t, "seed after stream and delta", again, first)
+	for i := range adj {
+		a, w := seed.Neighbors(i)
+		if !slices.Equal(a, adj[i]) || !slices.Equal(w, wts[i]) {
+			t.Fatalf("row %d of seed changed: %v %v, was %v %v", i, a, w, adj[i], wts[i])
+		}
 	}
 }
 
@@ -713,23 +754,5 @@ func TestStreamFlushCtxSurfacesErrors(t *testing.T) {
 	}
 	if s.FullRuns() != runs+1 {
 		t.Errorf("FullRuns = %d after recovery flush, want %d", s.FullRuns(), runs+1)
-	}
-}
-
-// TestCacheInvalidateAll pins the bulk-invalidation accounting.
-func TestCacheInvalidateAll(t *testing.T) {
-	c, _ := newCachedPool(t)
-	ctx := context.Background()
-	for seed := int64(0); seed < 3; seed++ {
-		g := grappolo.FromEdges(200, ringEdges(200, float64(seed)/4), 1)
-		if _, err := c.Detect(ctx, g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := c.InvalidateAll(); n != 3 {
-		t.Errorf("InvalidateAll = %d, want 3", n)
-	}
-	if c.Len() != 0 || c.Stats().Bytes != 0 {
-		t.Errorf("cache not empty after InvalidateAll: %s", fmt.Sprint(c))
 	}
 }

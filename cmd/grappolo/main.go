@@ -411,9 +411,9 @@ func serveDemo(g *grappolo.Graph, workers int, clients, requests int, quiet bool
 		fmt.Printf("  engine runs=%d coalesced=%d queued=%d canceled=%d\n",
 			st.Led, cst.Coalesced, st.Waited, st.Canceled)
 		if cache != nil {
-			fmt.Printf("  cache: hits=%d misses=%d delta=%d evicted=%d expired=%d rejected=%d entries=%d bytes=%d\n",
+			fmt.Printf("  cache: hits=%d misses=%d delta=%d evicted=%d expired=%d entries=%d bytes=%d\n",
 				cst.Hits, cst.Misses, cst.DeltaRouted, cst.Evictions,
-				cst.Expired, cst.Rejected, cst.Entries, cst.Bytes)
+				cst.Expired, cst.Entries, cst.Bytes)
 		}
 		if guard != nil {
 			fmt.Printf("  guard: shed=%d degraded=%d recovered=%d\n",

@@ -58,8 +58,8 @@
 // in front of the pool (or of a Sharded backend) serves each distinct
 // graph once: concurrent identical misses share ONE backend run, fanned
 // back out as independent Result copies, and a TTL + LRU result store
-// keyed by the graph's exact content and the backend's engine options
-// serves later repeats with no run at all:
+// keyed by the graph's exact content serves later repeats with no run at
+// all:
 //
 //	c, err := grappolo.NewCache(pool,
 //		grappolo.CacheTTL(time.Minute),     // serve an entry at most this long
@@ -95,15 +95,14 @@
 // BenchmarkCacheDetect measures the cold/hit/delta tiers, and coalesced
 // against uncoalesced duplicate load.
 //
-// Identity: requests are matched by a structural graph fingerprint (exact
-// vertex/arc counts and weight sum plus a sampled CSR content hash,
-// memoized on the Graph), but the sampled hash is only the O(1) first-pass
-// filter. Requests share a run, and an entry is served, only when the
-// graph's exact full-content hash (Graph.StrongHash, computed once per
-// immutable graph and memoized) agrees too. A sampled collision therefore
-// costs the sharing — the colliding request leads its own run, and the
-// stored entry is refused to it (CacheStats.Rejected) — never correctness:
-// no request is ever served a result computed for a different graph.
+// Identity: requests are matched by one content identity, the graph's
+// Fingerprint: the exact vertex and arc counts and weight sum plus the
+// full-content hash Graph.StrongHash, computed once per immutable graph and
+// memoized on it. Requests share a run, and an entry is served, only when
+// all four agree, so a served membership always has the request's length,
+// and two graphs of the same shape but different content each run once and
+// keep an entry of their own. A Graph never changes, so no entry goes
+// stale and the Cache has nothing to invalidate.
 //
 // With DeltaEdits(k), a miss within k edge INSERTIONS (including weight
 // increases) of a cached graph skips the cold run too: the CSR diff is
@@ -114,9 +113,8 @@
 // re-detection once a quarter of the maintainer's vertices have been
 // touched) rather than matching a cold run bit-for-bit.
 // Deletions and rewires always fall through to the backend. A Cache
-// composes under a Guard (NewGuard accepts it as a backend), is safe for
-// concurrent use, and exposes Invalidate/InvalidateAll for callers whose
-// graphs stop describing reality — see Stream.OnApply below.
+// composes under a Guard (NewGuard accepts it as a backend) and is safe for
+// concurrent use.
 //
 // # Serving robustly: deadlines, shedding, degraded mode
 //
@@ -236,11 +234,11 @@
 // bookkeeping irreversibly), and a negative endpoint with an *InputError;
 // FlushCtx surfaces cancellation of the full re-detections a flush can
 // escalate to (the overlay stays consistent and the refresh is retried on
-// the next flush), and OnApply registers a post-batch hook — the natural
-// place to call Cache.Invalidate for the stream's seed graph. A batch
-// re-decides its frontier in ascending vertex order, so with integer edge
-// weights the same seed, options and edges give the same Membership and
-// Modularity bits on every run; the Cache's delta tier runs the same
+// the next flush). A Stream copies its seed into its own overlay and never
+// writes to the seed Graph, so cached results for the seed stay valid. A
+// batch re-decides its frontier in ascending vertex order, so with integer
+// edge weights the same seed, options and edges give the same Membership
+// and Modularity bits on every run; the Cache's delta tier runs the same
 // maintainer under the same contract. Synthetic inputs reproducing the paper's
 // 11-graph suite live in grappolo/generate; partition-agreement measures
 // (Table 3) in grappolo/quality.

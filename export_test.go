@@ -28,6 +28,10 @@ func (p *Pool) AvailablePermits() int { return p.sem.Available() }
 // pile-up need the attach-time signal).
 func (c *Cache) JoinedFollowers() int64 { return c.joins.Load() }
 
+// Forget drops the cached entry for g, if resident, so benchmarks can
+// measure a miss on a graph the cache would otherwise serve.
+func (c *Cache) Forget(g *Graph) { c.store.Remove(g.Fingerprint()) }
+
 // IdleEngines returns the number of engines currently parked in the idle
 // list — the quarantine tests' proof that a panicked engine was dropped
 // (its slot stays empty until a later request lazily re-creates one).

@@ -22,7 +22,6 @@ import (
 	"grappolo/internal/core"
 	"grappolo/internal/graph"
 	"grappolo/internal/par"
-	"grappolo/internal/seq"
 )
 
 // ErrBadWeight is returned by AddEdge for a weight that is not a positive
@@ -94,8 +93,6 @@ type Maintainer struct {
 	// staging buffer and the engine's run target.
 	edgeBuf []graph.Edge
 	fullRes *core.Result
-	// onApply, when set, runs after every successfully applied batch.
-	onApply func()
 	// stats
 	fullRuns     int
 	batchApplies int
@@ -180,13 +177,6 @@ func (m *Maintainer) FullRuns() int { return m.fullRuns }
 
 // BatchApplies reports how many incremental batches have been applied.
 func (m *Maintainer) BatchApplies() int { return m.batchApplies }
-
-// SetOnApply registers f to run after every successfully applied batch —
-// whether it was absorbed by frontier local moves or triggered a full
-// re-detection. Serving layers use it as the invalidation hook: a cached
-// result derived from this maintainer's graph is stale the moment a batch
-// lands. A nil f clears the hook.
-func (m *Maintainer) SetOnApply(f func()) { m.onApply = f }
 
 // Modularity recomputes Eq. (3) on the live overlay.
 //
@@ -283,13 +273,7 @@ func (m *Maintainer) FlushCtx(ctx context.Context) error {
 		if !m.refreshDue() {
 			return nil
 		}
-		if err := m.fullRun(ctx); err != nil {
-			return err
-		}
-		if m.onApply != nil {
-			m.onApply()
-		}
-		return nil
+		return m.fullRun(ctx)
 	}
 	m.batchApplies++
 	for _, e := range m.pending {
@@ -314,15 +298,9 @@ func (m *Maintainer) FlushCtx(ctx context.Context) error {
 	m.pending = m.pending[:0]
 
 	if m.refreshDue() {
-		if err := m.fullRun(ctx); err != nil {
-			return err
-		}
-	} else {
-		m.localOptimize()
+		return m.fullRun(ctx)
 	}
-	if m.onApply != nil {
-		m.onApply()
-	}
+	m.localOptimize()
 	return nil
 }
 
@@ -467,15 +445,4 @@ func (m *Maintainer) Snapshot() *graph.Graph {
 		}
 	}
 	return b.Build(m.opts.Workers)
-}
-
-// Quality returns the modularity of the current assignment computed on a
-// fresh snapshot via the reference implementation — a cross-check used by
-// tests (Modularity() should agree).
-func (m *Maintainer) Quality() float64 {
-	g := m.Snapshot()
-	if g.N() == 0 {
-		return 0
-	}
-	return seq.Modularity(g, m.comm, 1)
 }

@@ -161,8 +161,7 @@ func (g *Graph) normalizeRows(p int) {
 func (g *Graph) finish(p int) {
 	n := g.N()
 	// The CSR content just changed (fresh build or a recycled header):
-	// drop any memoized identity before it can describe the wrong graph.
-	atomic.StoreUint64(&g.fpHash, 0)
+	// drop the memoized identity before it can describe the wrong graph.
 	atomic.StoreUint64(&g.strongHash, 0)
 	g.degree = par.Resize(g.degree, n)
 	g.loops = 0

@@ -5,90 +5,42 @@ import (
 	"sync/atomic"
 )
 
-// Fingerprint is a cheap structural identity for a Graph, used by the
-// serving layer to coalesce concurrent detections on the same input: two
-// graphs with equal fingerprints are treated as the same graph. It combines
-// the exact vertex count, arc count and total-weight bits with a sampled
-// content hash over the CSR arrays, so it costs O(fpSamples) regardless of
-// graph size and is comparable (usable directly as a map key).
+// Fingerprint is the content identity of a Graph, used by the serving
+// layer to coalesce concurrent detections on the same input and to serve
+// repeats from its result store: two graphs with equal fingerprints are
+// treated as the same graph. It holds the exact vertex count, arc count and
+// total-weight bits, plus StrongHash, the hash of the full canonical CSR
+// content, and is comparable (usable directly as a map key).
 //
-// The guarantee is one-sided: graphs that differ in N, Arcs or total weight
-// always differ, and graphs below fpSamples vertices/arcs are hashed in
-// full, but two LARGE graphs that agree on all of those and differ only in
-// arcs the sample stride skips will collide. The sampled hash is therefore
-// only a first-pass filter: layers that persist results across time
-// (grappolo.Cache) confirm every sampled-fingerprint match against
-// StrongHash, the exact full-content hash, before serving a cached result.
+// Graphs that differ in N, Arcs or total weight always differ. Graphs that
+// agree on all three share a fingerprint only if their full contents
+// hash alike (see StrongHash), and the exact shape fields guarantee that a
+// result stored under a fingerprint has the requesting graph's length.
 type Fingerprint struct {
 	N     int
 	Arcs  int64
 	WBits uint64 // math.Float64bits of the total weight 2m
-	Hash  uint64 // sampled CSR content hash
+	Hash  uint64 // StrongHash: full CSR content hash
 }
 
-// fpSamples bounds the number of row offsets and arc entries mixed into
-// Fingerprint.Hash. 64 samples keep the fingerprint cheaper than a single
-// sweep chunk while covering every vertex and arc of small graphs exactly.
-const fpSamples = 64
-
-// Fingerprint computes the structural fingerprint of g. It is deterministic
-// for a given graph content (the CSR form is canonical: rows sorted,
-// duplicates merged), so equal graphs built independently fingerprint
-// equal, whatever worker count built them.
-//
-// The sampled hash is memoized on the (immutable) Graph: the first call
-// pays the O(fpSamples) scan, every later call is a single atomic load —
-// which is what lets serving layers fingerprint per request without a
-// per-layer graph-pointer cache. Concurrent first calls race benignly:
-// both compute the same value.
+// Fingerprint computes the content identity of g. It is deterministic for
+// a given graph content (the CSR form is canonical: rows sorted, duplicates
+// merged), so equal graphs built independently fingerprint equal, whatever
+// worker count built them. Its hash is StrongHash's memo, so after the
+// first call a fingerprint costs one atomic load and no allocation.
 func (g *Graph) Fingerprint() Fingerprint {
-	n := g.N()
-	arcs := int64(len(g.adj))
-	wbits := math.Float64bits(g.totalW)
-	h := atomic.LoadUint64(&g.fpHash)
-	if h == 0 {
-		h = g.sampledHash(n, arcs, wbits)
-		atomic.StoreUint64(&g.fpHash, h)
-	}
-	return Fingerprint{N: n, Arcs: arcs, WBits: wbits, Hash: h}
+	return Fingerprint{N: g.N(), Arcs: int64(len(g.adj)), WBits: math.Float64bits(g.totalW), Hash: g.StrongHash()}
 }
 
-// sampledHash computes the sampled CSR content hash. Never returns 0 (the
-// memo's "not computed" sentinel).
-func (g *Graph) sampledHash(n int, arcs int64, wbits uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	h = fpMix(h, uint64(n))
-	h = fpMix(h, uint64(arcs))
-	h = fpMix(h, wbits)
-	if n > 0 {
-		step := n/fpSamples + 1
-		for i := 0; i < n; i += step {
-			h = fpMix(h, uint64(g.offsets[i+1]))
-		}
-	}
-	if arcs > 0 {
-		step := arcs/fpSamples + 1
-		for j := int64(0); j < arcs; j += step {
-			h = fpMix(h, uint64(uint32(g.adj[j])))
-			h = fpMix(h, math.Float64bits(g.weights[j]))
-		}
-	}
-	if h == 0 {
-		h = 1
-	}
-	return h
-}
-
-// StrongHash returns the exact full-content hash of g: every offset,
-// neighbor id and weight bit is mixed in, so two graphs share a StrongHash
-// iff their canonical CSR contents are identical (up to a 2^-64 chain
-// collision — there is no sampling gap to exploit). It is the admission
-// check for layers that persist results across time: a sampled-fingerprint
-// match is only trusted once the strong hashes agree.
+// StrongHash returns the full-content hash of g: every offset, neighbor id
+// and weight bit is mixed in, so two graphs share a StrongHash iff their
+// canonical CSR contents are identical, up to a 2^-64 chain collision. It
+// is Fingerprint's Hash.
 //
 // The first call pays one serial O(n + arcs) scan; the value is memoized on
 // the immutable Graph, so steady-state serving reads it with an atomic load
-// and zero allocations. Concurrent first calls race benignly.
+// and zero allocations. Concurrent first calls race benignly: both compute
+// the same value.
 func (g *Graph) StrongHash() uint64 {
 	if h := atomic.LoadUint64(&g.strongHash); h != 0 {
 		return h
@@ -114,7 +66,7 @@ func (g *Graph) StrongHash() uint64 {
 }
 
 // fpMix folds x into h with the splitmix64 finalizer — strong enough
-// avalanche that sampled single-entry differences flip the hash.
+// avalanche that a single-entry difference flips the hash.
 func fpMix(h, x uint64) uint64 {
 	h ^= x
 	h *= 0xbf58476d1ce4e5b9

@@ -12,8 +12,9 @@ func fpGraph(t *testing.T, n int, edges [][3]float64) *Graph {
 }
 
 // TestFingerprintEqualContent pins that fingerprints identify graphs by
-// content, not pointer: the same edge list built twice (different worker
-// counts, different insertion order) fingerprints identically.
+// content, not pointer: the same edge list built twice (different
+// insertion order) fingerprints identically, and the fingerprint's hash is
+// the full-content StrongHash.
 func TestFingerprintEqualContent(t *testing.T) {
 	edges := [][3]float64{{0, 1, 1}, {1, 2, 2}, {2, 0, 1}, {3, 3, 4}, {2, 4, 0.5}}
 	a := fpGraph(t, 6, edges)
@@ -29,11 +30,13 @@ func TestFingerprintEqualContent(t *testing.T) {
 		t.Fatalf("equal-content graphs fingerprint differently:\n%+v\n%+v",
 			a.Fingerprint(), b.Fingerprint())
 	}
+	if h := a.Fingerprint().Hash; h != a.StrongHash() {
+		t.Fatalf("Fingerprint().Hash = %x, StrongHash() = %x", h, a.StrongHash())
+	}
 }
 
-// TestFingerprintDistinguishes pins that every cheap component — vertex
-// count, arc count, weights, and (for small graphs, which are fully
-// sampled) adjacency content — separates graphs.
+// TestFingerprintDistinguishes pins that every component — vertex count,
+// arc count, weights and adjacency content — separates graphs.
 func TestFingerprintDistinguishes(t *testing.T) {
 	base := fpGraph(t, 5, [][3]float64{{0, 1, 1}, {1, 2, 1}, {3, 4, 1}})
 	variants := map[string]*Graph{
@@ -54,8 +57,7 @@ func TestFingerprintDistinguishes(t *testing.T) {
 }
 
 // TestFingerprintDeterministicAcrossBuilds pins that fingerprints of a
-// larger graph (sampled hashing engaged) are stable across rebuilds with
-// different worker counts.
+// larger graph are stable across rebuilds with different worker counts.
 func TestFingerprintDeterministicAcrossBuilds(t *testing.T) {
 	const n = 500
 	edges := make([]Edge, 0, 3*n)
@@ -77,7 +79,7 @@ func TestFingerprintDeterministicAcrossBuilds(t *testing.T) {
 }
 
 // TestFingerprintZeroAllocs pins that fingerprinting is allocation-free —
-// it sits on the batcher's per-request fast path.
+// it sits on the cache's per-request path.
 func TestFingerprintZeroAllocs(t *testing.T) {
 	g := fpGraph(t, 5, [][3]float64{{0, 1, 1}, {1, 2, 1}, {3, 4, 1}})
 	allocs := testing.AllocsPerRun(100, func() { _ = g.Fingerprint() })
@@ -86,9 +88,8 @@ func TestFingerprintZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestStrongHashEqualContent pins that the exact hash, like the sampled
-// fingerprint, identifies graphs by canonical content regardless of build
-// order or worker count.
+// TestStrongHashEqualContent pins that the full-content hash identifies
+// graphs by canonical content regardless of build order.
 func TestStrongHashEqualContent(t *testing.T) {
 	edges := [][3]float64{{0, 1, 1}, {1, 2, 2}, {2, 0, 1}, {3, 3, 4}, {2, 4, 0.5}}
 	a := fpGraph(t, 6, edges)
@@ -100,21 +101,6 @@ func TestStrongHashEqualContent(t *testing.T) {
 	if a.StrongHash() != b.StrongHash() {
 		t.Fatalf("equal-content graphs strong-hash differently: %x vs %x",
 			a.StrongHash(), b.StrongHash())
-	}
-}
-
-// TestStrongHashSeesUnsampledDifferences builds a graph pair large enough
-// for sampled hashing and different only in arcs the sample stride skips:
-// the sampled fingerprints collide BY CONSTRUCTION while the strong hashes
-// must differ — the exact gap StrongHash exists to close.
-func TestStrongHashSeesUnsampledDifferences(t *testing.T) {
-	a, b := CollidingRingPair(100)
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("construction broken: sampled fingerprints differ\n%+v\n%+v",
-			a.Fingerprint(), b.Fingerprint())
-	}
-	if a.StrongHash() == b.StrongHash() {
-		t.Fatal("strong hashes collide on graphs with different content")
 	}
 }
 
@@ -151,7 +137,7 @@ func TestRecycledGraphDropsMemoizedHashes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if recycled.Fingerprint() == fp1 {
-		t.Error("recycled graph served the previous graph's sampled fingerprint")
+		t.Error("recycled graph served the previous graph's fingerprint")
 	}
 	if recycled.StrongHash() == sh1 {
 		t.Error("recycled graph served the previous graph's strong hash")

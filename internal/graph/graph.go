@@ -28,13 +28,12 @@ type Graph struct {
 	loops   int64     // number of self-loop arcs, cached at build time
 	maxOut  int       // max unweighted out-degree, cached at build time
 
-	// Memoized content hashes, accessed atomically (plain words, not
-	// atomic.Uint64, so a Graph header stays freely copyable). 0 means "not
-	// computed yet" — both hash functions normalize a computed 0 to 1 — and
-	// finish() resets both, which is what keeps a FromCSRInto-recycled
-	// header from serving the previous graph's identity.
-	fpHash     uint64 // sampled Fingerprint.Hash
-	strongHash uint64 // full-content hash (StrongHash)
+	// strongHash memoizes StrongHash, accessed atomically (a plain word,
+	// not atomic.Uint64, so a Graph header stays freely copyable). 0 means
+	// "not computed yet" — StrongHash normalizes a computed 0 to 1 — and
+	// finish() resets it, which is what keeps a FromCSRInto-recycled header
+	// from serving the previous graph's identity.
+	strongHash uint64
 }
 
 // N returns the number of vertices.

@@ -13,73 +13,51 @@ func Resize[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// Arena is a tiny bump allocator for short-lived scratch slices whose count
-// or sizes vary call to call (per-worker histograms, per-color prefix rows,
-// …) and therefore do not fit a single named pooled buffer. Allocations are
-// carved off one backing array per element type; Reset recycles everything at
-// once in O(1). The arena remembers the total demand of the previous cycle
-// and pre-grows on Reset, so a warmed arena serves a same-shaped cycle with
-// zero allocations.
+// Arena is a tiny bump allocator for short-lived []int64 scratch slices
+// whose count or sizes vary call to call (per-worker histograms: their
+// count follows the worker count, their size the color or community count),
+// so they do not fit a single named pooled buffer. Allocations are carved
+// off one backing array; Reset recycles everything at once in O(1). The
+// arena remembers the total demand of the previous cycle and pre-grows on
+// Reset, so a warmed arena serves a same-shaped cycle with zero
+// allocations.
 //
 // An Arena is not safe for concurrent use: take slices serially (before
 // fanning work out to workers), then hand them to the workers.
 type Arena struct {
-	i64 arenaPool[int64]
-	i32 arenaPool[int32]
-	f64 arenaPool[float64]
+	buf    []int64
+	off    int
+	demand int // total items taken since the last reset
 }
 
 // Reset recycles all outstanding slices. Slices taken before the Reset must
 // no longer be used: they alias storage that later takes will hand out again.
 func (a *Arena) Reset() {
-	a.i64.reset()
-	a.i32.reset()
-	a.f64.reset()
-}
-
-// Int64 returns a zeroed []int64 of length n carved from the arena.
-func (a *Arena) Int64(n int) []int64 { return a.i64.take(n) }
-
-// Int32 returns a zeroed []int32 of length n carved from the arena.
-func (a *Arena) Int32(n int) []int32 { return a.i32.take(n) }
-
-// Float64 returns a zeroed []float64 of length n carved from the arena.
-func (a *Arena) Float64(n int) []float64 { return a.f64.take(n) }
-
-type arenaPool[T any] struct {
-	buf    []T
-	off    int
-	demand int // total items taken since the last reset
-}
-
-func (p *arenaPool[T]) reset() {
 	// Pre-grow to the previous cycle's high-water demand so one warm cycle
 	// suffices to make identical later cycles allocation-free even when the
 	// first cycle spilled across multiple backing arrays.
-	if p.demand > len(p.buf) {
-		p.buf = make([]T, p.demand)
+	if a.demand > len(a.buf) {
+		a.buf = make([]int64, a.demand)
 	}
-	p.off = 0
-	p.demand = 0
+	a.off = 0
+	a.demand = 0
 }
 
-func (p *arenaPool[T]) take(n int) []T {
-	p.demand += n
-	if p.off+n > len(p.buf) {
-		size := 2 * len(p.buf)
+// Int64 returns a zeroed []int64 of length n carved from the arena.
+func (a *Arena) Int64(n int) []int64 {
+	a.demand += n
+	if a.off+n > len(a.buf) {
+		size := 2 * len(a.buf)
 		if size < n {
 			size = n
 		}
 		// Slices taken earlier in this cycle keep referencing the old backing
 		// array; only future takes come from the new one.
-		p.buf = make([]T, size)
-		p.off = 0
+		a.buf = make([]int64, size)
+		a.off = 0
 	}
-	s := p.buf[p.off : p.off+n : p.off+n]
-	p.off += n
-	var zero T
-	for i := range s {
-		s[i] = zero
-	}
+	s := a.buf[a.off : a.off+n : a.off+n]
+	a.off += n
+	clear(s)
 	return s
 }

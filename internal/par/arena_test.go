@@ -53,10 +53,10 @@ func TestArenaZeroesAndRecycles(t *testing.T) {
 
 func TestArenaOutstandingSlicesSurviveGrowth(t *testing.T) {
 	var a Arena
-	x := a.Int32(2)
+	x := a.Int64(2)
 	x[0], x[1] = 7, 8
 	// Force a mid-cycle regrow; x keeps referencing the old backing array.
-	_ = a.Int32(1 << 12)
+	_ = a.Int64(1 << 12)
 	if x[0] != 7 || x[1] != 8 {
 		t.Fatal("outstanding slice corrupted by arena growth")
 	}
@@ -68,8 +68,8 @@ func TestArenaWarmCycleZeroAllocs(t *testing.T) {
 		a.Reset()
 		for i := 0; i < 4; i++ {
 			_ = a.Int64(100)
-			_ = a.Int32(50)
-			_ = a.Float64(25)
+			_ = a.Int64(50)
+			_ = a.Int64(25)
 		}
 	}
 	cycle() // cold: spills across growing backing arrays

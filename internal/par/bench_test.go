@@ -61,15 +61,6 @@ func BenchmarkExclusivePrefixSum(b *testing.B) {
 	}
 }
 
-func BenchmarkAtomicFloat64Add(b *testing.B) {
-	var a Float64
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			a.Add(1)
-		}
-	})
-}
-
 func BenchmarkAddFloat64Striped(b *testing.B) {
 	cells := make([]float64, 64)
 	var idx atomic.Int64

@@ -379,34 +379,10 @@ func ExclusivePrefixSum(v []int64, p int) int64 {
 	return run
 }
 
-// Float64 is a float64 cell supporting lock-free atomic addition, the Go
-// analog of the paper's __sync_fetch_and_add on doubles. The zero value is
-// ready to use and holds 0.
-type Float64 struct {
-	bits atomic.Uint64
-}
-
-// Load returns the current value.
-func (a *Float64) Load() float64 { return fromBits(a.bits.Load()) }
-
-// Store sets the value.
-func (a *Float64) Store(v float64) { a.bits.Store(toBits(v)) }
-
-// Add atomically adds delta and returns the new value.
-func (a *Float64) Add(delta float64) float64 {
-	for {
-		old := a.bits.Load()
-		next := fromBits(old) + delta
-		if a.bits.CompareAndSwap(old, toBits(next)) {
-			return next
-		}
-	}
-}
-
-// AddFloat64 atomically adds delta to the float64 at *cell, which must be
-// aligned (Go guarantees 8-byte alignment for float64 slice elements). It is
-// used for dense arrays of accumulators where a []Float64 would waste cache
-// on padding-free but pointer-heavy layouts.
+// AddFloat64 atomically adds delta to the float64 at *cell, the Go analog
+// of the paper's __sync_fetch_and_add on doubles. The cell must be aligned
+// (Go guarantees 8-byte alignment for float64 slice elements), so dense
+// []float64 arrays of accumulators serve as they are.
 func AddFloat64(cell *float64, delta float64) {
 	addr := (*atomic.Uint64)(ptr(cell))
 	for {

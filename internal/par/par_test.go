@@ -151,24 +151,6 @@ func TestExclusivePrefixSumProperty(t *testing.T) {
 	}
 }
 
-func TestAtomicFloat64Concurrent(t *testing.T) {
-	var a Float64
-	const workers, adds = 8, 10000
-	ForChunk(workers*adds, workers, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a.Add(0.5)
-		}
-	})
-	want := float64(workers*adds) * 0.5
-	if got := a.Load(); got != want {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	a.Store(-3)
-	if got := a.Load(); got != -3 {
-		t.Fatalf("store/load: got %v", got)
-	}
-}
-
 func TestAddFloat64DenseArrayConcurrent(t *testing.T) {
 	cells := make([]float64, 16)
 	const total = 64000

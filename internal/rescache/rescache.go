@@ -1,16 +1,15 @@
 // Package rescache is the cross-time serving cache behind grappolo.Cache: a
-// TTL + LRU store of detection Results keyed by (graph fingerprint, engine
-// options), sized and evicted by estimated graph+result bytes, with a delta
-// tier that routes near-miss graphs (a small edge-insertion edit of a cached
-// graph) onto an incremental dynamic.Maintainer seeded from the cached
-// membership instead of a cold engine run.
+// TTL + LRU store of detection Results keyed by graph.Fingerprint, sized and
+// evicted by estimated graph+result bytes, with a delta tier that routes
+// near-miss graphs (a small edge-insertion edit of a cached graph) onto an
+// incremental dynamic.Maintainer seeded from the cached membership instead
+// of a cold engine run.
 //
-// Correctness before coverage: the sampled graph.Fingerprint is only the
-// lookup key's first-pass filter. Every hit is confirmed against the exact
-// full-content StrongHash before a result is served, and a live entry is
-// never replaced by a colliding graph — a sampled-hash collision therefore
-// degrades to "uncached" (counted in Stats.Rejected), never to serving the
-// wrong membership.
+// Identity: the key is the graph's content alone — exact vertex count, arc
+// count and total-weight bits plus the full-content StrongHash — so an entry
+// is served only to a graph with that exact shape and content hash. A Store
+// holds the results of one engine configuration: its owner builds one Store
+// per backend, whose options never change.
 //
 // Concurrency: the store mutex guards the table, the LRU list, byte
 // accounting and counters. Cached Results and graphs are immutable after
@@ -30,15 +29,6 @@ import (
 	"grappolo/internal/dynamic"
 	"grappolo/internal/graph"
 )
-
-// Key identifies a cached detection: the graph's sampled fingerprint plus
-// the exact engine configuration that produced the result. core.Options is
-// all scalars, so the composite is comparable and indexes the table
-// directly — "options identity" with no serialization step.
-type Key struct {
-	FP   graph.Fingerprint
-	Opts core.Options
-}
 
 // Options configure a Store.
 type Options struct {
@@ -61,9 +51,8 @@ type Options struct {
 
 // Stats are cumulative counters plus a point-in-time size snapshot.
 type Stats struct {
-	// Hits counts exact serves: sampled key matched AND the strong hash
-	// confirmed. Misses counts everything else (including rejections), so
-	// Hits + Misses is the number of lookups.
+	// Hits counts lookups served from a live entry; Misses counts the
+	// rest, so Hits + Misses is the number of lookups.
 	Hits, Misses int64
 	// Coalesced counts misses served by joining a concurrent identical
 	// miss's run instead of resolving their own. The Store never coalesces;
@@ -75,10 +64,6 @@ type Stats struct {
 	// Evictions counts entries dropped by the byte budget; Expired counts
 	// entries dropped past their TTL.
 	Evictions, Expired int64
-	// Rejected counts strong-hash refusals: a sampled-fingerprint match
-	// whose exact content differed — the collision the strong hash exists
-	// to catch — at lookup or admission.
-	Rejected int64
 	// Entries and Bytes snapshot the current residency.
 	Entries int
 	Bytes   int64
@@ -87,8 +72,7 @@ type Stats struct {
 // entry is one cached detection. res and g are immutable after insert;
 // maint is exclusively owned (see package comment).
 type entry struct {
-	key     Key
-	strong  uint64
+	fp      graph.Fingerprint
 	g       *graph.Graph
 	res     *core.Result
 	maint   *dynamic.Maintainer
@@ -103,17 +87,17 @@ type Store struct {
 	opts Options
 
 	mu      sync.Mutex
-	entries map[Key]*entry
+	entries map[graph.Fingerprint]*entry
 	head    *entry
 	tail    *entry
 	bytes   int64
 
-	hits, misses, delta, evictions, expired, rejected int64
+	hits, misses, delta, evictions, expired int64
 }
 
 // New returns an empty store.
 func New(opts Options) *Store {
-	return &Store{opts: opts, entries: make(map[Key]*entry)}
+	return &Store{opts: opts, entries: make(map[graph.Fingerprint]*entry)}
 }
 
 func (s *Store) now() time.Time {
@@ -123,14 +107,13 @@ func (s *Store) now() time.Time {
 	return time.Now()
 }
 
-// Get returns the cached Result for key, confirming the exact content hash
-// before serving. The returned Result is the entry's own (immutable)
-// storage: callers must deep-copy it out and never mutate it. A hit bumps
-// the entry to the front of the LRU order. Zero allocations on the hit
-// path.
-func (s *Store) Get(key Key, strong uint64) (*core.Result, bool) {
+// Get returns the cached Result for the graph fingerprinted fp. The
+// returned Result is the entry's own (immutable) storage: callers must
+// deep-copy it out and never mutate it. A hit bumps the entry to the front
+// of the LRU order. Zero allocations on the hit path.
+func (s *Store) Get(fp graph.Fingerprint) (*core.Result, bool) {
 	s.mu.Lock()
-	e := s.entries[key]
+	e := s.entries[fp]
 	if e == nil {
 		s.misses++
 		s.mu.Unlock()
@@ -143,14 +126,6 @@ func (s *Store) Get(key Key, strong uint64) (*core.Result, bool) {
 		s.mu.Unlock()
 		return nil, false
 	}
-	if e.strong != strong {
-		// Sampled-fingerprint collision: same key, different graph. The
-		// incumbent stays; this request is served uncached.
-		s.rejected++
-		s.misses++
-		s.mu.Unlock()
-		return nil, false
-	}
 	s.unlink(e)
 	s.pushFront(e)
 	s.hits++
@@ -159,33 +134,30 @@ func (s *Store) Get(key Key, strong uint64) (*core.Result, bool) {
 	return res, true
 }
 
-// Put admits a detection under key. The store takes ownership of res (it
-// must be a private deep copy, immutable hereafter) and retains g — the
-// graph anchors delta diffs and the byte estimate — plus an optional
-// maintainer already representing g. Returns false when the entry was not
-// admitted: it alone exceeds the byte budget, or a LIVE entry with
-// different exact content already owns the key (sampled collision; the
-// incumbent wins and the newcomer stays uncached, counted as Rejected).
-func (s *Store) Put(key Key, strong uint64, g *graph.Graph, res *core.Result, maint *dynamic.Maintainer) bool {
+// Put admits a detection of g under g's fingerprint. The store takes
+// ownership of res (it must be a private deep copy, immutable hereafter)
+// and retains g — the graph anchors delta diffs and the byte estimate —
+// plus an optional maintainer already representing g. An entry for the
+// same fingerprint is replaced, which refreshes its TTL, result and
+// maintainer. Returns false when the entry alone exceeds the byte budget
+// and was not admitted.
+func (s *Store) Put(g *graph.Graph, res *core.Result, maint *dynamic.Maintainer) bool {
+	fp := g.Fingerprint()
 	bytes := EstimateBytes(g, res, maint != nil)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sweepExpired()
-	if old := s.entries[key]; old != nil {
-		if old.strong != strong {
-			s.rejected++
-			return false
-		}
-		s.remove(old) // same content re-admitted: refresh TTL/result/maintainer
+	if old := s.entries[fp]; old != nil {
+		s.remove(old)
 	}
 	if s.opts.MaxBytes > 0 && bytes > s.opts.MaxBytes {
 		return false
 	}
-	e := &entry{key: key, strong: strong, g: g, res: res, maint: maint, bytes: bytes}
+	e := &entry{fp: fp, g: g, res: res, maint: maint, bytes: bytes}
 	if s.opts.TTL > 0 {
 		e.expires = s.now().Add(s.opts.TTL)
 	}
-	s.entries[key] = e
+	s.entries[fp] = e
 	s.pushFront(e)
 	s.bytes += bytes
 	for s.opts.MaxBytes > 0 && s.bytes > s.opts.MaxBytes && s.tail != e {
@@ -202,28 +174,27 @@ func (s *Store) Admits(g *graph.Graph, res *core.Result) bool {
 }
 
 // DeltaDetect attempts to serve a cache MISS from the delta tier: if some
-// unexpired entry with the same options is a ≤DeltaEdges edge-insertion
-// edit away from g (per the cheap CSR merge-diff), the delta is fed to that
-// entry's maintainer — seeded from the cached membership if the entry has
-// none — and the incremental result is admitted as a new entry for g
-// (carrying the maintainer forward, so a chain of small edits keeps
-// streaming onto one maintainer).
+// unexpired entry is a ≤DeltaEdges edge-insertion edit away from g (per
+// the cheap CSR merge-diff), the delta is fed to that entry's maintainer —
+// seeded from the cached membership if the entry has none — and the
+// incremental result is admitted as a new entry for g (carrying the
+// maintainer forward, so a chain of small edits keeps streaming onto one
+// maintainer).
 //
 // Returns handled=false when no candidate routes (caller falls through to
 // a cold run). When handled, err is nil or ctx's error from a canceled
 // incremental flush. The returned Result is entry-owned: deep-copy it out.
-func (s *Store) DeltaDetect(ctx context.Context, key Key, g *graph.Graph, strong uint64) (*core.Result, bool, error) {
+func (s *Store) DeltaDetect(ctx context.Context, g *graph.Graph) (*core.Result, bool, error) {
 	if s.opts.DeltaEdges <= 0 {
 		return nil, false, nil
 	}
-	fp := key.FP
+	fp := g.Fingerprint()
 	w := math.Float64frombits(fp.WBits)
 	s.mu.Lock()
 	var cand *entry
 	candGap := int64(1) << 62
-	for _, e := range s.entries {
-		ef := e.key.FP
-		if e.key.Opts != key.Opts || ef == fp {
+	for ef, e := range s.entries {
+		if ef == fp {
 			continue
 		}
 		if !e.expires.IsZero() && s.now().After(e.expires) {
@@ -247,13 +218,13 @@ func (s *Store) DeltaDetect(ctx context.Context, key Key, g *graph.Graph, strong
 		s.mu.Unlock()
 		return nil, false, nil
 	}
-	base, baseRes, maint, baseKey := cand.g, cand.res, cand.maint, cand.key
+	base, baseRes, maint, baseFP := cand.g, cand.res, cand.maint, cand.fp
 	cand.maint = nil // detach: the maintainer is ours exclusively now
 	s.mu.Unlock()
 
 	edges, ok := DiffEdges(base, g, s.opts.DeltaEdges, make([]graph.Edge, 0, s.opts.DeltaEdges))
 	if !ok {
-		s.reattach(baseKey, maint)
+		s.reattach(baseFP, maint)
 		return nil, false, nil
 	}
 	if maint == nil {
@@ -280,51 +251,31 @@ func (s *Store) DeltaDetect(ctx context.Context, key Key, g *graph.Graph, strong
 	s.mu.Lock()
 	s.delta++
 	s.mu.Unlock()
-	s.Put(key, strong, g, res, maint)
+	s.Put(g, res, maint)
 	return res, true, nil
 }
 
 // reattach returns a detached maintainer to its entry if the entry is still
 // resident and has not grown a new one.
-func (s *Store) reattach(key Key, maint *dynamic.Maintainer) {
+func (s *Store) reattach(fp graph.Fingerprint, maint *dynamic.Maintainer) {
 	if maint == nil {
 		return
 	}
 	s.mu.Lock()
-	if e := s.entries[key]; e != nil && e.maint == nil {
+	if e := s.entries[fp]; e != nil && e.maint == nil {
 		e.maint = maint
 	}
 	s.mu.Unlock()
 }
 
-// Remove drops the entry for key, if resident. Invalidation entry point.
-func (s *Store) Remove(key Key) bool {
+// Remove drops the entry for fp, if resident. Only benchmarks call it, to
+// measure a miss on a graph the store would otherwise serve.
+func (s *Store) Remove(fp graph.Fingerprint) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.entries[key]
-	if e == nil {
-		return false
+	if e := s.entries[fp]; e != nil {
+		s.remove(e)
 	}
-	s.remove(e)
-	return true
-}
-
-// Clear drops every entry and returns how many were resident.
-func (s *Store) Clear() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.entries)
-	for s.tail != nil {
-		s.remove(s.tail)
-	}
-	return n
-}
-
-// Len returns the resident entry count.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
 }
 
 // Stats snapshots the counters.
@@ -333,7 +284,7 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	return Stats{
 		Hits: s.hits, Misses: s.misses, DeltaRouted: s.delta,
-		Evictions: s.evictions, Expired: s.expired, Rejected: s.rejected,
+		Evictions: s.evictions, Expired: s.expired,
 		Entries: len(s.entries), Bytes: s.bytes,
 	}
 }
@@ -357,7 +308,7 @@ func (s *Store) sweepExpired() {
 // remove unlinks and deletes e. Caller holds s.mu.
 func (s *Store) remove(e *entry) {
 	s.unlink(e)
-	delete(s.entries, e.key)
+	delete(s.entries, e.fp)
 	s.bytes -= e.bytes
 }
 
@@ -386,13 +337,14 @@ func (s *Store) pushFront(e *entry) {
 	}
 }
 
-// lruKeys returns the resident keys in most-recent-first order (tests).
-func (s *Store) lruKeys() []Key {
+// lruKeys returns the resident fingerprints in most-recent-first order
+// (tests).
+func (s *Store) lruKeys() []graph.Fingerprint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var keys []Key
+	var keys []graph.Fingerprint
 	for e := s.head; e != nil; e = e.next {
-		keys = append(keys, e.key)
+		keys = append(keys, e.fp)
 	}
 	return keys
 }

@@ -22,8 +22,6 @@ func testGraph(t *testing.T, n int, edges [][3]float64) *graph.Graph {
 	return b.Build(1)
 }
 
-func keyOf(g *graph.Graph) Key { return Key{FP: g.Fingerprint(), Opts: core.Options{Workers: 1}} }
-
 func resOf(g *graph.Graph) *core.Result {
 	res := &core.Result{Membership: make([]int32, g.N()), NumCommunities: 1}
 	return res
@@ -48,14 +46,14 @@ func ringGraph(t *testing.T, n int) *graph.Graph {
 func TestGetMissThenHit(t *testing.T) {
 	s := New(Options{})
 	g := ringGraph(t, 10)
-	k := keyOf(g)
-	if _, ok := s.Get(k, g.StrongHash()); ok {
+	k := g.Fingerprint()
+	if _, ok := s.Get(k); ok {
 		t.Fatal("hit on empty store")
 	}
-	if !s.Put(k, g.StrongHash(), g, resOf(g), nil) {
+	if !s.Put(g, resOf(g), nil) {
 		t.Fatal("Put refused")
 	}
-	res, ok := s.Get(k, g.StrongHash())
+	res, ok := s.Get(k)
 	if !ok || res == nil {
 		t.Fatal("miss after Put")
 	}
@@ -69,15 +67,15 @@ func TestTTLExpiry(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	s := New(Options{TTL: time.Minute, Now: clk.now})
 	g := ringGraph(t, 10)
-	k := keyOf(g)
-	s.Put(k, g.StrongHash(), g, resOf(g), nil)
+	k := g.Fingerprint()
+	s.Put(g, resOf(g), nil)
 
 	clk.advance(59 * time.Second)
-	if _, ok := s.Get(k, g.StrongHash()); !ok {
+	if _, ok := s.Get(k); !ok {
 		t.Fatal("entry expired before its TTL")
 	}
 	clk.advance(2 * time.Second)
-	if _, ok := s.Get(k, g.StrongHash()); ok {
+	if _, ok := s.Get(k); ok {
 		t.Fatal("entry served past its TTL")
 	}
 	st := s.Stats()
@@ -85,8 +83,8 @@ func TestTTLExpiry(t *testing.T) {
 		t.Fatalf("stats %+v", st)
 	}
 	// Re-admission restarts the TTL.
-	s.Put(k, g.StrongHash(), g, resOf(g), nil)
-	if _, ok := s.Get(k, g.StrongHash()); !ok {
+	s.Put(g, resOf(g), nil)
+	if _, ok := s.Get(k); !ok {
 		t.Fatal("re-admitted entry not served")
 	}
 }
@@ -98,19 +96,19 @@ func TestLRUEvictionOrder(t *testing.T) {
 	per := EstimateBytes(gc, resOf(gc), false)
 	s := New(Options{MaxBytes: 2 * per})
 
-	ka, kb, kc := keyOf(ga), keyOf(gb), keyOf(gc)
-	s.Put(ka, ga.StrongHash(), ga, resOf(ga), nil)
-	s.Put(kb, gb.StrongHash(), gb, resOf(gb), nil)
+	ka, kb, kc := ga.Fingerprint(), gb.Fingerprint(), gc.Fingerprint()
+	s.Put(ga, resOf(ga), nil)
+	s.Put(gb, resOf(gb), nil)
 	// Touch A: B becomes least-recently-used.
-	if _, ok := s.Get(ka, ga.StrongHash()); !ok {
+	if _, ok := s.Get(ka); !ok {
 		t.Fatal("A missing")
 	}
-	s.Put(kc, gc.StrongHash(), gc, resOf(gc), nil)
+	s.Put(gc, resOf(gc), nil)
 
 	if got := s.lruKeys(); len(got) != 2 || got[0] != kc || got[1] != ka {
 		t.Fatalf("LRU order after eviction: %d entries (want C, A)", len(got))
 	}
-	if _, ok := s.Get(kb, gb.StrongHash()); ok {
+	if _, ok := s.Get(kb); ok {
 		t.Fatal("evicted entry B still served")
 	}
 	st := s.Stats()
@@ -122,41 +120,65 @@ func TestLRUEvictionOrder(t *testing.T) {
 func TestOversizedEntryNotAdmitted(t *testing.T) {
 	g := ringGraph(t, 100)
 	s := New(Options{MaxBytes: 16})
-	if s.Put(keyOf(g), g.StrongHash(), g, resOf(g), nil) {
+	if s.Put(g, resOf(g), nil) {
 		t.Fatal("entry larger than the whole budget was admitted")
 	}
-	if s.Len() != 0 {
+	if s.Stats().Entries != 0 {
 		t.Fatal("store not empty")
 	}
 }
 
-// TestCollisionNeverCrossServed pins the strong-hash admission on the
-// crafted sampled-fingerprint collision pair: the second graph neither
-// evicts the first nor is served the first's result.
-func TestCollisionNeverCrossServed(t *testing.T) {
-	a, b := graph.CollidingRingPair(100)
-	ka, kb := keyOf(a), keyOf(b)
-	if ka != kb {
-		t.Fatal("construction broken: keys differ")
+// sameShapeRings returns two n-vertex unit-weight rings that agree on
+// vertex count, arc count and total weight but differ in content: edges
+// {2, 3} and {6, 7} weigh 2 and 3 in the first and 3 and 2 in the second.
+func sameShapeRings(t *testing.T, n int) (*graph.Graph, *graph.Graph) {
+	t.Helper()
+	build := func(w23, w67 float64) *graph.Graph {
+		b := graph.NewBuilder(n)
+		for i := 0; i < n; i++ {
+			w := 1.0
+			switch i {
+			case 2:
+				w = w23
+			case 6:
+				w = w67
+			}
+			b.AddEdge(int32(i), int32((i+1)%n), w)
+		}
+		return b.Build(1)
+	}
+	return build(2, 3), build(3, 2)
+}
+
+// TestSameShapeNeverCrossServed pins that the key is the full content: two
+// graphs of the same shape but different weights each get an entry of
+// their own, and each is served its own result.
+func TestSameShapeNeverCrossServed(t *testing.T) {
+	a, b := sameShapeRings(t, 100)
+	ka, kb := a.Fingerprint(), b.Fingerprint()
+	if ka.N != kb.N || ka.Arcs != kb.Arcs || ka.WBits != kb.WBits || ka == kb {
+		t.Fatalf("construction broken: want one shape, two contents\n%+v\n%+v", ka, kb)
 	}
 	s := New(Options{})
-	resA := resOf(a)
-	resA.Modularity = 0.5
-	s.Put(ka, a.StrongHash(), a, resA, nil)
-
-	if _, ok := s.Get(kb, b.StrongHash()); ok {
-		t.Fatal("collision cross-served a wrong result")
+	resA, resB := resOf(a), resOf(b)
+	resA.Modularity, resB.Modularity = 0.5, 0.25
+	s.Put(a, resA, nil)
+	if _, ok := s.Get(kb); ok {
+		t.Fatal("b was served a's result")
 	}
-	if s.Put(kb, b.StrongHash(), b, resOf(b), nil) {
-		t.Fatal("collision displaced the incumbent entry")
+	if !s.Put(b, resB, nil) {
+		t.Fatal("b was not admitted")
 	}
-	// The incumbent is still served exactly.
-	got, ok := s.Get(ka, a.StrongHash())
-	if !ok || got.Modularity != 0.5 {
-		t.Fatalf("incumbent lost: ok=%v", ok)
+	for _, want := range []struct {
+		fp graph.Fingerprint
+		q  float64
+	}{{ka, 0.5}, {kb, 0.25}} {
+		if got, ok := s.Get(want.fp); !ok || got.Modularity != want.q {
+			t.Fatalf("%+v: ok=%v, want its own result (Q %v)", want.fp, ok, want.q)
+		}
 	}
-	if st := s.Stats(); st.Rejected != 2 {
-		t.Fatalf("stats %+v", st)
+	if st := s.Stats(); st.Entries != 2 || st.Hits != 2 || st.Misses != 1 {
+		t.Fatalf("stats %+v, want 2 entries, 2 hits, 1 miss", st)
 	}
 }
 
@@ -240,8 +262,7 @@ func TestDeltaDetect(t *testing.T) {
 
 	dyn := dynamic.Options{Workers: 1, Full: core.Baseline(1)}
 	s := New(Options{DeltaEdges: 4, Dynamic: dyn})
-	k := keyOf(base)
-	s.Put(k, base.StrongHash(), base, res, nil)
+	s.Put(base, res, nil)
 
 	// Edit: new vertex 10 tied into the first clique.
 	b2 := graph.NewBuilder(11)
@@ -256,9 +277,7 @@ func TestDeltaDetect(t *testing.T) {
 	b2.AddEdge(10, 0, 1)
 	b2.AddEdge(10, 1, 1)
 	next := b2.Build(1)
-	nk := Key{FP: next.Fingerprint(), Opts: k.Opts}
-
-	out, handled, err := s.DeltaDetect(context.Background(), nk, next, next.StrongHash())
+	out, handled, err := s.DeltaDetect(context.Background(), next)
 	if err != nil || !handled {
 		t.Fatalf("handled=%v err=%v", handled, err)
 	}
@@ -276,7 +295,7 @@ func TestDeltaDetect(t *testing.T) {
 		t.Fatalf("reported Q=%v, reference %v", out.Modularity, ref)
 	}
 	// The new graph is now cached exactly.
-	if _, ok := s.Get(nk, next.StrongHash()); !ok {
+	if _, ok := s.Get(next.Fingerprint()); !ok {
 		t.Fatal("delta result not admitted for the new graph")
 	}
 	if st := s.Stats(); st.DeltaRouted != 1 {
@@ -293,8 +312,8 @@ func TestDeltaDetectCanceled(t *testing.T) {
 	// the cancellable path.
 	dyn := dynamic.Options{Workers: 1, Full: core.Baseline(1), RefreshFraction: 1e-9}
 	s := New(Options{DeltaEdges: 4, Dynamic: dyn})
-	k := keyOf(base)
-	s.Put(k, base.StrongHash(), base, res, nil)
+	k := base.Fingerprint()
+	s.Put(base, res, nil)
 
 	b := graph.NewBuilder(40)
 	for i := 0; i < 40; i++ {
@@ -302,16 +321,14 @@ func TestDeltaDetectCanceled(t *testing.T) {
 	}
 	b.AddEdge(0, 20, 1)
 	next := b.Build(1)
-	nk := Key{FP: next.Fingerprint(), Opts: k.Opts}
-
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, handled, err := s.DeltaDetect(ctx, nk, next, next.StrongHash())
+	_, handled, err := s.DeltaDetect(ctx, next)
 	if !handled || !errors.Is(err, context.Canceled) {
 		t.Fatalf("handled=%v err=%v, want canceled", handled, err)
 	}
 	// The base entry survives a failed route.
-	if _, ok := s.Get(k, base.StrongHash()); !ok {
+	if _, ok := s.Get(k); !ok {
 		t.Fatal("base entry lost after canceled delta")
 	}
 }
@@ -321,7 +338,7 @@ func TestDeltaDetectNotRoutable(t *testing.T) {
 	base := ringGraph(t, 30)
 	res := &core.Result{Membership: make([]int32, 30)}
 	s := New(Options{DeltaEdges: 4, Dynamic: dynamic.Options{Workers: 1, Full: core.Baseline(1)}})
-	s.Put(keyOf(base), base.StrongHash(), base, res, nil)
+	s.Put(base, res, nil)
 
 	// Same arc count and vertex count, heavier total weight, but REWIRED:
 	// passes the O(1) gates, fails the CSR diff.
@@ -334,8 +351,7 @@ func TestDeltaDetectNotRoutable(t *testing.T) {
 		b.AddEdge(int32(i), int32(j), 2)
 	}
 	next := b.Build(1)
-	nk := Key{FP: next.Fingerprint(), Opts: keyOf(base).Opts}
-	if _, handled, _ := s.DeltaDetect(context.Background(), nk, next, next.StrongHash()); handled {
+	if _, handled, _ := s.DeltaDetect(context.Background(), next); handled {
 		t.Fatal("rewired graph routed as an insertion delta")
 	}
 }

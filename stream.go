@@ -123,14 +123,6 @@ func (s *Stream) Flush() error { return s.m.FlushCtx(context.Background()) }
 // re-runs it. Incremental-only flushes cannot fail.
 func (s *Stream) FlushCtx(ctx context.Context) error { return s.m.FlushCtx(ctx) }
 
-// OnApply registers f to run after every successfully applied batch —
-// including the full re-detections flushes escalate to. Serving layers use
-// it as an invalidation hook: once the overlay drifts from the seed graph,
-// cached results for that seed no longer describe the live stream (e.g.
-// Cache.Invalidate(seed)). Must be set before edges are applied; f runs on
-// the flushing goroutine.
-func (s *Stream) OnApply(f func()) { s.m.SetOnApply(f) }
-
 // N returns the current vertex count.
 func (s *Stream) N() int { return s.m.N() }
 

@@ -41,8 +41,9 @@ func checkPartition(t *testing.T, g *grappolo.Graph, res *grappolo.Result) {
 // both orientations, isolated vertices, zero and negative weights (the
 // builder's documented unweighted-input coercion) — through the public
 // Builder and a full detection. The graph must always pass its own
-// Validate, and detection must produce a valid partition with a finite
-// score; the graph must survive detection unmodified.
+// Validate and be the same, bit for bit, whether one worker or two built
+// it; detection must produce a valid partition with a finite score, and the
+// graph must survive detection unmodified.
 func FuzzGraphBuilder(f *testing.F) {
 	f.Add(uint8(6), []byte{0, 1, 1, 0, 1, 2, 1, 0, 0, 2, 1, 0, 3, 3, 0, 0})
 	f.Add(uint8(1), []byte{})
@@ -56,13 +57,18 @@ func FuzzGraphBuilder(f *testing.F) {
 			v := int32(data[i+1]) % int32(n)
 			// int8 reinterpretation covers negative and zero weights, which
 			// the builder must coerce to 1 (unweighted-input convention);
-			// the fractional part exercises weight merging.
-			w := float64(int8(data[i+2])) + float64(data[i+3])/256
+			// the fractional part exercises weight merging. Its step is
+			// 1/255, not a power of two, so merged sums round and the
+			// order of addition shows in their bits.
+			w := float64(int8(data[i+2])) + float64(data[i+3])/255
 			b.AddEdge(u, v, w)
 		}
 		g := b.Build(2)
 		if err := g.Validate(); err != nil {
 			t.Fatalf("builder produced an invalid graph: %v", err)
+		}
+		if h1, h2 := b.Build(1).StrongHash(), g.StrongHash(); h1 != h2 {
+			t.Fatalf("one and two workers built different graphs: StrongHash %x vs %x", h1, h2)
 		}
 		weightBefore := g.TotalWeight()
 		res, err := grappolo.Detect(context.Background(), g, grappolo.Workers(2))

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"grappolo/internal/par"
@@ -32,6 +34,29 @@ func BenchmarkFromEdgesSerial(b *testing.B) {
 func BenchmarkFromEdgesParallel(b *testing.B) {
 	const n, m = 50000, 400000
 	edges := benchEdges(n, m, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := FromEdges(n, edges, 0)
+		if g.N() != n {
+			b.Fatal("bad build")
+		}
+	}
+}
+
+// BenchmarkFromEdgesOrdered builds from the same edges in the order
+// WriteEdgeList writes a graph's edges: each edge once with U <= V, sorted
+// by (U, V). Every row then arrives sorted.
+func BenchmarkFromEdgesOrdered(b *testing.B) {
+	const n, m = 50000, 400000
+	edges := benchEdges(n, m, 1)
+	for i, e := range edges {
+		if e.U > e.V {
+			edges[i].U, edges[i].V = e.V, e.U
+		}
+	}
+	slices.SortFunc(edges, func(x, y Edge) int {
+		return cmp.Or(cmp.Compare(x.U, y.U), cmp.Compare(x.V, y.V))
+	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := FromEdges(n, edges, 0)

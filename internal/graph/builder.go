@@ -1,9 +1,7 @@
 package graph
 
 import (
-	"fmt"
-	"sort"
-	"sync/atomic"
+	"math"
 
 	"grappolo/internal/par"
 )
@@ -70,39 +68,70 @@ func (b *Builder) Build(p int) *Graph {
 // FromEdges builds a Graph with n vertices from an undirected edge list,
 // merging duplicates, using p workers. The input slice is not modified.
 //
-// The construction is the standard two-pass CSR build: count row lengths,
-// exclusive prefix sum, scatter, then a per-row sort + in-place merge of
-// duplicate neighbors. Counting and scattering use atomics; the per-row
-// normalization is embarrassingly parallel.
+// The construction is a two-pass counting sort with no atomics. The edge
+// list is cut into nw static chunks, the same in both passes. Chunk w
+// counts its arcs per row into counts[w]. One pass over the rows sums the
+// chunks' counts into row lengths for the prefix sum, and turns counts[w][u]
+// into chunk w's cursor relative to the start of row u: chunk 0's arcs come
+// first, then chunk 1's, and so on. Each chunk then scatters its arcs from
+// its own cursors with plain writes, so every row holds its arcs in
+// edge-list order whatever p is. normalizeRows sorts and merges the rows.
+//
+// nw is at most 2m/n, so the chunks' counters, n int32 each, add up to no
+// more than 2m int32s, the arcs of a loop-free list. A row holds at most
+// len(edges) arcs, which is what lets counters and cursors be int32:
+// FromEdges takes fewer than 2^31 edges.
 func FromEdges(n int, edges []Edge, p int) *Graph {
-	counts := make([]int64, n+1)
-	par.ForChunk(len(edges), p, 0, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			e := edges[t]
-			atomicInc(&counts[e.U])
+	m := len(edges)
+	if m > math.MaxInt32 {
+		panic("graph: FromEdges takes fewer than 2^31 edges")
+	}
+	nw := par.Workers(p, m)
+	if n > 0 {
+		nw = min(nw, max(1, 2*m/n))
+	}
+	counts := make([][]int32, nw)
+	for w := range counts {
+		counts[w] = make([]int32, n)
+	}
+	par.ForStatic(m, nw, func(w, lo, hi int) {
+		c := counts[w]
+		for _, e := range edges[lo:hi] {
+			c[e.U]++
 			if e.U != e.V {
-				atomicInc(&counts[e.V])
+				c[e.V]++
 			}
 		}
 	})
-	total := par.ExclusivePrefixSum(counts[:n+1], p)
-	offsets := counts // counts now holds exclusive prefix sums; alias for clarity
+	// Cursors are relative to the row start, so one pass over the rows
+	// yields both the row lengths and every chunk's cursors.
+	offsets := make([]int64, n+1)
+	par.ForChunk(n, p, 0, func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			var cur int32
+			for _, c := range counts {
+				c[u], cur = cur, cur+c[u]
+			}
+			offsets[u] = int64(cur)
+		}
+	})
+	total := par.ExclusivePrefixSum(offsets, p)
 	adj := make([]int32, total)
 	weights := make([]float64, total)
-	cursor := make([]int64, n)
-	copy(cursor, offsets[:n])
-	par.ForChunk(len(edges), p, 0, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			e := edges[t]
-			w := e.W
-			if w <= 0 {
-				w = 1
+	par.ForStatic(m, nw, func(w, lo, hi int) {
+		cur := counts[w]
+		for _, e := range edges[lo:hi] {
+			wt := e.W
+			if wt <= 0 {
+				wt = 1
 			}
-			pos := atomicAdd(&cursor[e.U], 1) - 1
-			adj[pos], weights[pos] = e.V, w
+			pos := offsets[e.U] + int64(cur[e.U])
+			cur[e.U]++
+			adj[pos], weights[pos] = e.V, wt
 			if e.U != e.V {
-				pos = atomicAdd(&cursor[e.V], 1) - 1
-				adj[pos], weights[pos] = e.U, w
+				pos = offsets[e.V] + int64(cur[e.V])
+				cur[e.V]++
+				adj[pos], weights[pos] = e.U, wt
 			}
 		}
 	})
@@ -112,24 +141,31 @@ func FromEdges(n int, edges []Edge, p int) *Graph {
 	return g
 }
 
-// normalizeRows sorts each adjacency row by neighbor id and merges duplicate
-// neighbors by summing weights, compacting rows in place and then squeezing
-// the CSR arrays.
+// normalizeRows sorts each adjacency row in row order (see arcLess) and
+// merges duplicate neighbors by summing weights, compacting rows in place
+// and then squeezing the CSR arrays. Loaders and generators list edges
+// sorted, so most rows arrive sorted: a short row takes an insertion sort,
+// which costs one pass on a sorted row, and a long row is checked before
+// it is sorted.
 func (g *Graph) normalizeRows(p int) {
 	n := g.N()
 	newLen := make([]int64, n+1)
 	par.ForChunk(n, p, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s, e := g.offsets[i], g.offsets[i+1]
-			row := rowSorter{adj: g.adj[s:e], w: g.weights[s:e]}
-			sort.Sort(row)
+			adj, w := g.adj[s:e], g.weights[s:e]
+			if len(adj) <= insertionRowMax {
+				insertionSortRow(adj, w)
+			} else if !rowSorted(adj, w) {
+				heapSortRow(adj, w)
+			}
 			// Merge duplicates in place.
 			out := 0
-			for t := 0; t < len(row.adj); t++ {
-				if out > 0 && row.adj[out-1] == row.adj[t] {
-					row.w[out-1] += row.w[t]
+			for t := range adj {
+				if out > 0 && adj[out-1] == adj[t] {
+					w[out-1] += w[t]
 				} else {
-					row.adj[out], row.w[out] = row.adj[t], row.w[t]
+					adj[out], w[out] = adj[t], w[t]
 					out++
 				}
 			}
@@ -154,93 +190,71 @@ func (g *Graph) normalizeRows(p int) {
 	g.offsets, g.adj, g.weights = newLen, adj, weights
 }
 
-// finish computes the cached degrees, total weight, self-loop count, and
-// maximum out-degree. It reuses g's degree array when the capacity allows and
-// routes every loop through the captureless ...Ctx forms, so rebuilding a
-// pooled Graph (FromCSRInto) allocates nothing in steady state.
-func (g *Graph) finish(p int) {
-	n := g.N()
-	// The CSR content just changed (fresh build or a recycled header):
-	// drop the memoized identity before it can describe the wrong graph.
-	atomic.StoreUint64(&g.strongHash, 0)
-	g.degree = par.Resize(g.degree, n)
-	g.loops = 0
-	par.ForChunkCtx(g, n, p, 0, func(g *Graph, lo, hi int) {
-		var chunkLoops int64
-		for i := lo; i < hi; i++ {
-			nbr, w := g.Neighbors(i)
-			s := 0.0
-			for t, x := range w {
-				s += x
-				if nbr[t] == int32(i) {
-					chunkLoops++
-				}
-			}
-			g.degree[i] = s
+// insertionRowMax is the longest row sorted by insertion; a longer row
+// that arrives out of order is heap-sorted.
+const insertionRowMax = 64
+
+// arcLess is the row order: by neighbor id, then by weight. The weight
+// tie-break fixes the order in which the merge adds up an edge's
+// duplicates. Rows arrive in edge-list order, which the rows of both
+// endpoints share, so the graph would stay symmetric without it; but float
+// addition is not associative, and adding duplicates in ascending weight
+// makes the merged bits a function of the edge multiset alone, not of the
+// input's order, and keeps them equal to those of earlier builds.
+func arcLess(v1 int32, w1 float64, v2 int32, w2 float64) bool {
+	return v1 < v2 || (v1 == v2 && w1 < w2)
+}
+
+// insertionSortRow sorts the parallel slices adj and w in row order.
+func insertionSortRow(adj []int32, w []float64) {
+	for i := 1; i < len(adj); i++ {
+		v, x := adj[i], w[i]
+		j := i
+		for ; j > 0 && arcLess(v, x, adj[j-1], w[j-1]); j-- {
+			adj[j], w[j] = adj[j-1], w[j-1]
 		}
-		atomic.AddInt64(&g.loops, chunkLoops)
-	})
-	// Cheap O(n) reductions over cached per-row data (no arc traffic).
-	g.maxOut = int(par.MaxInt64Ctx(g, n, p, func(g *Graph, i int) int64 {
-		return g.offsets[i+1] - g.offsets[i]
-	}))
-	g.totalW = par.SumFloat64Ctx(g, n, p, func(g *Graph, i int) float64 { return g.degree[i] })
+		adj[j], w[j] = v, x
+	}
 }
 
-// FromCSR constructs a Graph directly from CSR arrays that are already
-// sorted, deduplicated and symmetric. It takes ownership of the slices.
-// Used by the coarsening step, which produces normalized rows by
-// construction. Set check to true to validate (tests).
-func FromCSR(offsets []int64, adj []int32, weights []float64, p int, check bool) (*Graph, error) {
-	return FromCSRInto(nil, offsets, adj, weights, p, check)
-}
-
-// FromCSRInto is FromCSR recycling dst: the Graph header and its cached
-// degree array are reused (grown only when the vertex count exceeds the
-// previous capacity), so a pooled caller — core.Engine's per-level coarse
-// graph slots — rebuilds a same-shaped graph without allocating. dst may be
-// nil, in which case a fresh Graph is built. Any prior contents of dst are
-// invalidated; callers must not retain views of the previous graph.
-func FromCSRInto(dst *Graph, offsets []int64, adj []int32, weights []float64, p int, check bool) (*Graph, error) {
-	if check {
-		// finish slices every row, so malformed offsets must fail first.
-		if err := checkOffsets(offsets, len(adj), len(weights)); err != nil {
-			return nil, fmt.Errorf("graph: invalid CSR input: %w", err)
+// rowSorted reports whether adj and w are already in row order.
+func rowSorted(adj []int32, w []float64) bool {
+	for i := 1; i < len(adj); i++ {
+		if arcLess(adj[i], w[i], adj[i-1], w[i-1]) {
+			return false
 		}
 	}
-	if dst == nil {
-		dst = &Graph{}
+	return true
+}
+
+// heapSortRow sorts a row in row order in place, in O(d log d) whatever
+// order it arrives in.
+func heapSortRow(adj []int32, w []float64) {
+	for i := len(adj)/2 - 1; i >= 0; i-- {
+		siftDownRow(adj, w, i, len(adj))
 	}
-	dst.offsets, dst.adj, dst.weights = offsets, adj, weights
-	dst.finish(p)
-	if check {
-		if err := dst.Validate(); err != nil {
-			return nil, fmt.Errorf("graph: invalid CSR input: %w", err)
+	for end := len(adj) - 1; end > 0; end-- {
+		adj[0], adj[end] = adj[end], adj[0]
+		w[0], w[end] = w[end], w[0]
+		siftDownRow(adj, w, 0, end)
+	}
+}
+
+// siftDownRow moves the entry at root down the max-heap adj[:end].
+func siftDownRow(adj []int32, w []float64, root, end int) {
+	for {
+		child := 2*root + 1
+		if child >= end {
+			return
 		}
+		if child+1 < end && arcLess(adj[child], w[child], adj[child+1], w[child+1]) {
+			child++
+		}
+		if !arcLess(adj[root], w[root], adj[child], w[child]) {
+			return
+		}
+		adj[root], adj[child] = adj[child], adj[root]
+		w[root], w[child] = w[child], w[root]
+		root = child
 	}
-	return dst, nil
-}
-
-type rowSorter struct {
-	adj []int32
-	w   []float64
-}
-
-func (r rowSorter) Len() int { return len(r.adj) }
-
-// Less orders by neighbor id, then weight. The weight tie-break matters:
-// duplicate edges land in each endpoint's row in scheduler-dependent order,
-// and float addition is not associative, so summing them in scatter order
-// could leave the two directions of an edge differing in the last ULP.
-// Sorting duplicates by weight makes the merged sum — and therefore the
-// whole build — bit-deterministic for any worker count.
-func (r rowSorter) Less(i, j int) bool {
-	if r.adj[i] != r.adj[j] {
-		return r.adj[i] < r.adj[j]
-	}
-	return r.w[i] < r.w[j]
-}
-func (r rowSorter) Swap(i, j int) {
-	r.adj[i], r.adj[j] = r.adj[j], r.adj[i]
-	r.w[i], r.w[j] = r.w[j], r.w[i]
 }

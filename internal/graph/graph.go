@@ -15,6 +15,9 @@ package graph
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
+
+	"grappolo/internal/par"
 )
 
 // Graph is an immutable weighted undirected graph in CSR form.
@@ -116,6 +119,73 @@ func (g *Graph) EdgeWeight(i, j int) (float64, bool) {
 		}
 	}
 	return 0, false
+}
+
+// finish computes the cached degrees, total weight, self-loop count, and
+// maximum out-degree. It reuses g's degree array when the capacity allows and
+// routes every loop through the captureless ...Ctx forms, so rebuilding a
+// pooled Graph (FromCSRInto) allocates nothing in steady state.
+func (g *Graph) finish(p int) {
+	n := g.N()
+	// The CSR content just changed (fresh build or a recycled header):
+	// drop the memoized identity before it can describe the wrong graph.
+	atomic.StoreUint64(&g.strongHash, 0)
+	g.degree = par.Resize(g.degree, n)
+	g.loops = 0
+	par.ForChunkCtx(g, n, p, 0, func(g *Graph, lo, hi int) {
+		var chunkLoops int64
+		for i := lo; i < hi; i++ {
+			nbr, w := g.Neighbors(i)
+			s := 0.0
+			for t, x := range w {
+				s += x
+				if nbr[t] == int32(i) {
+					chunkLoops++
+				}
+			}
+			g.degree[i] = s
+		}
+		atomic.AddInt64(&g.loops, chunkLoops)
+	})
+	// Cheap O(n) reductions over cached per-row data (no arc traffic).
+	g.maxOut = int(par.MaxInt64Ctx(g, n, p, func(g *Graph, i int) int64 {
+		return g.offsets[i+1] - g.offsets[i]
+	}))
+	g.totalW = par.SumFloat64Ctx(g, n, p, func(g *Graph, i int) float64 { return g.degree[i] })
+}
+
+// FromCSR constructs a Graph directly from CSR arrays that are already
+// sorted, deduplicated and symmetric. It takes ownership of the slices.
+// Used by the coarsening step, which produces normalized rows by
+// construction. Set check to true to validate (tests).
+func FromCSR(offsets []int64, adj []int32, weights []float64, p int, check bool) (*Graph, error) {
+	return FromCSRInto(nil, offsets, adj, weights, p, check)
+}
+
+// FromCSRInto is FromCSR recycling dst: the Graph header and its cached
+// degree array are reused (grown only when the vertex count exceeds the
+// previous capacity), so a pooled caller — core.Engine's per-level coarse
+// graph slots — rebuilds a same-shaped graph without allocating. dst may be
+// nil, in which case a fresh Graph is built. Any prior contents of dst are
+// invalidated; callers must not retain views of the previous graph.
+func FromCSRInto(dst *Graph, offsets []int64, adj []int32, weights []float64, p int, check bool) (*Graph, error) {
+	if check {
+		// finish slices every row, so malformed offsets must fail first.
+		if err := checkOffsets(offsets, len(adj), len(weights)); err != nil {
+			return nil, fmt.Errorf("graph: invalid CSR input: %w", err)
+		}
+	}
+	if dst == nil {
+		dst = &Graph{}
+	}
+	dst.offsets, dst.adj, dst.weights = offsets, adj, weights
+	dst.finish(p)
+	if check {
+		if err := dst.Validate(); err != nil {
+			return nil, fmt.Errorf("graph: invalid CSR input: %w", err)
+		}
+	}
+	return dst, nil
 }
 
 // Validate checks structural invariants: offsets monotone, neighbor ids in

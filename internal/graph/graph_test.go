@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -121,6 +123,9 @@ func TestNeighborsSortedAfterBuild(t *testing.T) {
 	}
 }
 
+// TestBuildParallelMatchesSerial pins the builder bit for bit: at every
+// worker count, its offsets, neighbors and weight bits must equal those of
+// referenceCSR, on a random list and on a shuffled, duplicate-heavy copy.
 func TestBuildParallelMatchesSerial(t *testing.T) {
 	rng := par.NewRNG(11)
 	var edges []Edge
@@ -131,26 +136,91 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 			W: 1 + rng.Float64(),
 		})
 	}
-	g1 := FromEdges(n, edges, 1)
-	g8 := FromEdges(n, edges, 8)
-	if err := g8.Validate(); err != nil {
-		t.Fatal(err)
+	// The copy repeats edges in both orientations, adds self-loops, and
+	// draws non-integer weights (and some <= 0, which build as 1), so rows
+	// hold duplicates whose merged sum depends on the order of addition.
+	// Hub 7 gets a row longer than insertionRowMax.
+	dups := slices.Clone(edges)
+	for i := 0; i < 400; i++ {
+		dups = append(dups, Edge{U: int32(rng.Intn(n)), V: 7, W: 0.1 + rng.Float64()})
 	}
-	if g1.N() != g8.N() || g1.ArcCount() != g8.ArcCount() {
-		t.Fatalf("size mismatch: %d/%d arcs %d/%d", g1.N(), g8.N(), g1.ArcCount(), g8.ArcCount())
-	}
-	for i := 0; i < n; i++ {
-		n1, w1 := g1.Neighbors(i)
-		n8, w8 := g8.Neighbors(i)
-		if len(n1) != len(n8) {
-			t.Fatalf("vertex %d row length differs", i)
+	for i, e := range edges {
+		if i%3 == 0 {
+			dups = append(dups, Edge{U: e.V, V: e.U, W: 0.1 + rng.Float64()})
 		}
-		for t2 := range n1 {
-			if n1[t2] != n8[t2] || math.Abs(w1[t2]-w8[t2]) > 1e-12 {
-				t.Fatalf("vertex %d entry %d differs", i, t2)
+		if i%4 == 0 {
+			dups = append(dups, Edge{U: e.U, V: e.V, W: 0.1 + rng.Float64()})
+		}
+		if i%10 == 0 {
+			dups = append(dups, Edge{U: e.U, V: e.U, W: 0.1 + rng.Float64()})
+		}
+		if i%50 == 0 {
+			dups = append(dups, Edge{U: e.V, V: e.U, W: -rng.Float64()})
+		}
+	}
+	shuffled := make([]Edge, len(dups))
+	for i, j := range rng.Perm(len(dups)) {
+		shuffled[i] = dups[j]
+	}
+	for _, tc := range []struct {
+		name  string
+		edges []Edge
+	}{{"random", edges}, {"shuffled-duplicates", shuffled}} {
+		wantOff, wantAdj, wantW := referenceCSR(n, tc.edges)
+		for _, p := range []int{1, 2, 3, 8} {
+			g := FromEdges(n, tc.edges, p)
+			if err := g.Validate(); err != nil {
+				t.Fatalf("%s p=%d: %v", tc.name, p, err)
+			}
+			if !slices.Equal(g.offsets, wantOff) || !slices.Equal(g.adj, wantAdj) {
+				t.Fatalf("%s p=%d: rows differ from the reference", tc.name, p)
+			}
+			for i, w := range g.weights {
+				if math.Float64bits(w) != math.Float64bits(wantW[i]) {
+					t.Fatalf("%s p=%d: arc %d weight %v, reference %v", tc.name, p, i, w, wantW[i])
+				}
 			}
 		}
 	}
+}
+
+// referenceCSR is the plain serial build: every arc (weights <= 0 as 1),
+// sorted by (u, v, w), with each run of equal (u, v) summed in that order.
+func referenceCSR(n int, edges []Edge) ([]int64, []int32, []float64) {
+	type arc struct {
+		u, v int32
+		w    float64
+	}
+	var arcs []arc
+	for _, e := range edges {
+		w := e.W
+		if w <= 0 {
+			w = 1
+		}
+		arcs = append(arcs, arc{e.U, e.V, w})
+		if e.U != e.V {
+			arcs = append(arcs, arc{e.V, e.U, w})
+		}
+	}
+	slices.SortFunc(arcs, func(a, b arc) int {
+		return cmp.Or(cmp.Compare(a.u, b.u), cmp.Compare(a.v, b.v), cmp.Compare(a.w, b.w))
+	})
+	offsets := make([]int64, n+1)
+	var adj []int32
+	var weights []float64
+	for i, a := range arcs {
+		if i > 0 && arcs[i-1].u == a.u && arcs[i-1].v == a.v {
+			weights[len(weights)-1] += a.w
+			continue
+		}
+		adj = append(adj, a.v)
+		weights = append(weights, a.w)
+		offsets[a.u+1]++
+	}
+	for u := 0; u < n; u++ {
+		offsets[u+1] += offsets[u]
+	}
+	return offsets, adj, weights
 }
 
 func TestValidateCatchesAsymmetry(t *testing.T) {

@@ -30,7 +30,7 @@ package shard
 import (
 	"context"
 	"fmt"
-	"slices"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -113,6 +113,8 @@ type shardState struct {
 	out    []int32      // per-round sweep output
 	glob   []int32      // per-round global label of every sub vertex
 	back   []int32      // sorted unique global labels; local label t ↔ back[t]
+	set    []uint64     // bitmap over global labels, zero between rounds
+	rank   []int32      // set bits in the words of set before each word
 	iters  int          // sweep iterations accumulated across rounds
 }
 
@@ -176,6 +178,8 @@ func Run(ctx context.Context, g *graph.Graph, opts Options, src Engines) (*Resul
 			st.out = make([]int32, ns)
 			st.glob = make([]int32, ns)
 			st.back = make([]int32, 0, ns)
+			st.set = make([]uint64, (n+63)/64)
+			st.rank = make([]int32, len(st.set))
 		}(st)
 	}
 	wg.Wait()
@@ -291,15 +295,7 @@ func (st *shardState) sweep(ctx context.Context, g *graph.Graph, labels, next []
 	for t, gv := range st.ghosts {
 		st.glob[nLocal+t] = labels[gv]
 	}
-	// Compress to the dense local label space the engine needs: back holds
-	// the sorted unique global labels, so local label t ↔ back[t] and the
-	// ascending order preserves min-label tie-break semantics globally.
-	st.back = append(st.back[:0], st.glob...)
-	slices.Sort(st.back)
-	st.back = uniqueInt32(st.back)
-	for i, gl := range st.glob {
-		st.seed[i] = int32(searchInt32(st.back, gl))
-	}
+	st.back = compress(st.glob, st.seed, st.set, st.rank, st.back)
 
 	eng, release, err := src.Acquire(ctx, ns)
 	if err != nil {
@@ -404,29 +400,29 @@ func indexOf(states []*shardState, st *shardState) int {
 	return -1
 }
 
-// uniqueInt32 compacts a sorted slice in place.
-func uniqueInt32(v []int32) []int32 {
-	out := 0
-	for i := range v {
-		if out == 0 || v[out-1] != v[i] {
-			v[out] = v[i]
-			out++
+// compress maps the global labels in glob to the dense local label space
+// the engine needs. It returns back, the distinct labels in ascending order
+// (built in the storage of back), and sets seed[i] to the index of glob[i]
+// in it, so local label t ↔ back[t] and the ascending order preserves
+// min-label tie-break semantics globally. set is a bitmap over the global
+// label range, all zero on entry and again on return, and rank has one
+// slot per word of it: the cost is O(len(glob) + n/64), with no sort.
+func compress(glob, seed []int32, set []uint64, rank []int32, back []int32) []int32 {
+	for _, l := range glob {
+		set[l>>6] |= 1 << (l & 63)
+	}
+	back = back[:0]
+	var r int32
+	for w, x := range set {
+		rank[w] = r
+		r += int32(bits.OnesCount64(x))
+		for ; x != 0; x &= x - 1 {
+			back = append(back, int32(w<<6|bits.TrailingZeros64(x)))
 		}
 	}
-	return v[:out]
-}
-
-// searchInt32 returns the index of x in the sorted slice v (x must be
-// present — seeds are drawn from the same labels back was built from).
-func searchInt32(v []int32, x int32) int {
-	lo, hi := 0, len(v)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if v[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	for i, l := range glob {
+		seed[i] = rank[l>>6] + int32(bits.OnesCount64(set[l>>6]&(1<<(l&63)-1)))
 	}
-	return lo
+	clear(set)
+	return back
 }

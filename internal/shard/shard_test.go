@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"math"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -244,23 +245,40 @@ func TestRenumberDense(t *testing.T) {
 	}
 }
 
-func TestSortSearchHelpers(t *testing.T) {
-	v := []int32{4, 1, 4, 9, 1, 0}
-	slices.Sort(v)
-	if !slices.IsSorted(v) {
-		t.Fatalf("not sorted: %v", v)
-	}
-	u := uniqueInt32(v)
-	want := []int32{0, 1, 4, 9}
-	if len(u) != len(want) {
-		t.Fatalf("unique=%v want %v", u, want)
-	}
-	for i, x := range want {
-		if u[i] != x {
-			t.Fatalf("unique=%v want %v", u, want)
-		}
-		if got := searchInt32(u, x); got != i {
-			t.Fatalf("searchInt32(%d)=%d want %d", x, got, i)
+// TestCompressMatchesSortSearch checks the bitmap ranking against the
+// sort, unique and binary-search compression it replaced, on random label
+// sets, every other one with the word edges 0, 63, 64 and n-1 added,
+// reusing one bitmap across rounds as a shard does.
+func TestCompressMatchesSortSearch(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 5))
+	for _, n := range []int{1, 64, 65, 128, 1000, 4097} {
+		set := make([]uint64, (n+63)/64)
+		rank := make([]int32, len(set))
+		var back []int32
+		for round := 0; round < 20; round++ {
+			glob := make([]int32, 1+rng.IntN(3*n))
+			for i := range glob {
+				glob[i] = int32(rng.IntN(n))
+			}
+			for _, l := range []int{0, 63, 64, n - 1} {
+				if l < n && round%2 == 0 {
+					glob = append(glob, int32(l))
+				}
+			}
+			want := slices.Compact(slices.Sorted(slices.Values(glob)))
+			seed := make([]int32, len(glob))
+			back = compress(glob, seed, set, rank, back)
+			if !slices.Equal(back, want) {
+				t.Fatalf("n=%d round %d: back=%v want %v", n, round, back, want)
+			}
+			for i, l := range glob {
+				if j, _ := slices.BinarySearch(want, l); seed[i] != int32(j) {
+					t.Fatalf("n=%d round %d: seed of label %d = %d, want %d", n, round, l, seed[i], j)
+				}
+			}
+			if slices.ContainsFunc(set, func(x uint64) bool { return x != 0 }) {
+				t.Fatalf("n=%d round %d: bitmap not cleared", n, round)
+			}
 		}
 	}
 }
